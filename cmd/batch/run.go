@@ -118,6 +118,7 @@ func run(ctx context.Context, cfg config, w, errw io.Writer) int {
 
 	memo := eval.NewCacheBytes(cfg.cacheBytes)
 	var store *evalstore.Store
+	var loaded evalstore.LoadStats
 	if cfg.storeDir != "" {
 		store, err = evalstore.Open(cfg.storeDir)
 		if err != nil {
@@ -125,17 +126,10 @@ func run(ctx context.Context, cfg config, w, errw io.Writer) int {
 			return exitErr
 		}
 		defer store.Close()
-		st, err := store.Load(memo)
-		if err != nil {
+		if loaded, err = store.Load(memo); err != nil {
 			fmt.Fprintln(errw, "batch:", err)
 			return exitErr
 		}
-		fmt.Fprintf(errw, "batch: store %s: %d entries (%s)", cfg.storeDir, st.Entries, st.Import.String())
-		if bad := st.SkippedShards + st.WALBadFrames; bad > 0 || st.WALTornBytes > 0 {
-			fmt.Fprintf(errw, "; skipped %d shard file(s), %d bad frame(s), %d torn byte(s)",
-				st.SkippedShards, st.WALBadFrames, st.WALTornBytes)
-		}
-		fmt.Fprintln(errw)
 	}
 
 	var jn *journal
@@ -178,14 +172,20 @@ func run(ctx context.Context, cfg config, w, errw io.Writer) int {
 		mComputed.Inc()
 		return r, nil
 	})
-	// Persist whatever the cache learned before reporting any error: a
-	// failed or cancelled sweep still warms the next run.
+	// Persist whatever the cache computed before reporting any error: a
+	// failed or cancelled sweep still warms the next run. Only fresh
+	// entries can be new to the store, so a run that computed nothing
+	// appends nothing, and compaction then finds nothing to rewrite.
 	if store != nil {
-		if _, serr := store.Append(memo.Export()); serr != nil && err == nil {
-			err = serr
-		} else if _, cerr := store.Compact(); cerr != nil && err == nil {
-			err = cerr
+		appended, serr := store.Append(memo.ExportFresh())
+		var cs evalstore.CompactStats
+		if serr == nil {
+			cs, serr = store.Compact()
 		}
+		if serr != nil && err == nil {
+			err = serr
+		}
+		reportStore(errw, cfg.storeDir, loaded, appended, cs)
 	}
 	if err != nil {
 		fmt.Fprintln(errw, "batch:", err)
@@ -229,6 +229,18 @@ func run(ctx context.Context, cfg config, w, errw io.Writer) int {
 		return exitMore
 	}
 	return exitOK
+}
+
+// reportStore writes the store's stderr line: what the load found and
+// imported, then what this run appended and how many shard files the
+// compaction rewrote.
+func reportStore(errw io.Writer, dir string, st evalstore.LoadStats, appended int, cs evalstore.CompactStats) {
+	fmt.Fprintf(errw, "batch: store %s: %d entries (%s)", dir, st.Entries, st.Import.String())
+	if bad := st.SkippedShards + st.WALBadFrames; bad > 0 || st.WALTornBytes > 0 {
+		fmt.Fprintf(errw, "; skipped %d shard file(s), %d bad frame(s), %d torn byte(s)",
+			st.SkippedShards, st.WALBadFrames, st.WALTornBytes)
+	}
+	fmt.Fprintf(errw, "; appended %d, rewrote %d shard file(s)\n", appended, cs.ShardFiles)
 }
 
 // computeInstance encodes, evaluates, optionally audits, and checkpoints

@@ -3,10 +3,16 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
+
+	"picola/internal/eval"
+	"picola/internal/evalstore"
 )
 
 // genCorpus writes a small fixed-seed corpus and returns its directory.
@@ -137,8 +143,8 @@ func TestBatchShardMerge(t *testing.T) {
 }
 
 // TestBatchWarmStore: a store populated by a cold run warms the next
-// one — same snapshot bytes, and the second run's cache imports the
-// first run's minimizations from disk.
+// ones — same snapshot bytes — and a warm run that computes nothing new
+// writes nothing: every store file keeps its size, content and mtime.
 func TestBatchWarmStore(t *testing.T) {
 	dir := genCorpus(t, 15)
 	out := t.TempDir()
@@ -147,10 +153,121 @@ func TestBatchWarmStore(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(storeDir, "shard-00.ir")); err != nil {
 		t.Fatalf("cold run left no compacted store: %v", err)
 	}
-	_, warm, _ := runBatch(t, config{storeDir: storeDir, jsonOut: filepath.Join(out, "warm.json")}, dir)
-	if !bytes.Equal(cold, warm) {
-		t.Fatal("warm snapshot differs from cold")
+	before := freezeDir(t, storeDir)
+	for i := 0; i < 2; i++ {
+		snap, stderr := runStored(t, storeDir, filepath.Join(out, "warm.json"), dir)
+		if !bytes.Equal(cold, snap) {
+			t.Fatalf("warm run %d: snapshot differs from cold", i+1)
+		}
+		if !strings.Contains(stderr, "appended 0, rewrote 0 shard file(s)") {
+			t.Fatalf("warm run %d store line: %q", i+1, stderr)
+		}
+		if !reflect.DeepEqual(before, dirState(t, storeDir)) {
+			t.Fatalf("warm run %d wrote to the store", i+1)
+		}
 	}
+}
+
+// TestBatchPartiallyWarmStore: a corpus that adds instances to a filled
+// store appends exactly the signatures the store lacked — the store
+// ends up holding what a cold run of the whole corpus writes — and the
+// snapshot equals that cold run's.
+func TestBatchPartiallyWarmStore(t *testing.T) {
+	dir := genCorpus(t, 15)
+	out := t.TempDir()
+	sub := filepath.Join(dir, "first.txt")
+	var manifest strings.Builder
+	for i := 0; i < 8; i++ {
+		fmt.Fprintf(&manifest, "inst-%05d.cons\n", i)
+	}
+	if err := os.WriteFile(sub, []byte(manifest.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	storeDir := filepath.Join(out, "store")
+	runStored(t, storeDir, filepath.Join(out, "part.json"), sub)
+	part := storeEntries(t, storeDir)
+
+	warm, stderr := runStored(t, storeDir, filepath.Join(out, "warm.json"), dir)
+	fullDir := filepath.Join(out, "full-store")
+	cold, _ := runStored(t, fullDir, filepath.Join(out, "cold.json"), dir)
+	if !bytes.Equal(warm, cold) {
+		t.Fatal("partially warm snapshot differs from a cold run's")
+	}
+	full := storeEntries(t, fullDir)
+	if !reflect.DeepEqual(storeEntries(t, storeDir), full) {
+		t.Fatal("partially warm store differs from a cold run's store")
+	}
+	want := fmt.Sprintf("appended %d,", len(full)-len(part))
+	if len(full) <= len(part) || !strings.Contains(stderr, want) {
+		t.Fatalf("store line %q, want %q (store grew %d -> %d)", stderr, want, len(part), len(full))
+	}
+}
+
+// runStored runs the corpus at arg against storeDir and returns the
+// snapshot and stderr.
+func runStored(t *testing.T, storeDir, jsonOut, arg string) ([]byte, string) {
+	t.Helper()
+	var w, errw bytes.Buffer
+	cfg := config{storeDir: storeDir, jsonOut: jsonOut, workers: 4, shardN: 1, args: []string{arg}}
+	if code := run(context.Background(), cfg, &w, &errw); code != exitOK {
+		t.Fatalf("batch exited %d: %s", code, errw.String())
+	}
+	snap, err := os.ReadFile(jsonOut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap, errw.String()
+}
+
+// storeEntries returns the store's entry inventory.
+func storeEntries(t *testing.T, dir string) []eval.CacheEntry {
+	t.Helper()
+	s, err := evalstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ents, err := s.Entries()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ents
+}
+
+// freezeDir backdates every file under dir, so any later write shows in
+// its mtime, and returns the directory's state.
+func freezeDir(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	old := time.Date(2001, 1, 1, 0, 0, 0, 0, time.UTC)
+	for name := range dirState(t, dir) {
+		if err := os.Chtimes(filepath.Join(dir, name), old, old); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dirState(t, dir)
+}
+
+// dirState maps every file under dir to its size, mtime and content.
+func dirState(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]string, len(des))
+	for _, de := range des {
+		p := filepath.Join(dir, de.Name())
+		fi, err := os.Stat(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[de.Name()] = fmt.Sprintf("%d %d %s", fi.Size(), fi.ModTime().UnixNano(), b)
+	}
+	return out
 }
 
 // TestBatchAudit: -audit accepts the whole corpus (the oracles agree

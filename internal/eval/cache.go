@@ -87,13 +87,25 @@ type Cache struct {
 
 type cacheShard struct {
 	mu sync.RWMutex
-	m  map[string]int
+	m  map[string]memo
 	// order holds the live keys in insertion order; order[head:] are
 	// live, order[:head] already evicted (the prefix is compacted away
 	// once it outgrows the live tail).
 	order []string
 	head  int
 	bytes int64
+	// fresh counts the live entries the compute path inserted, so
+	// ExportFresh skips a shard holding only imported entries without
+	// scanning it.
+	fresh int
+}
+
+// memo is one memoized count, marked fresh when this cache computed it
+// rather than importing it. The count is an int32 so a map slot stays
+// eight bytes; Import rejects counts beyond it.
+type memo struct {
+	cubes int32
+	fresh bool
 }
 
 // NewCache returns an empty cache with the default memory bound.
@@ -111,7 +123,7 @@ func NewCacheBytes(maxBytes int64) *Cache {
 		dcm:         make(map[string]*cover.Cover),
 	}
 	for i := range c.shards {
-		c.shards[i].m = make(map[string]int)
+		c.shards[i].m = make(map[string]memo)
 	}
 	return c
 }
@@ -145,12 +157,13 @@ func (c *Cache) Bytes() int64 {
 }
 
 // insert memoizes key→cubes under the shard's byte budget, evicting the
-// oldest entries first until the new one fits. It reports whether the
+// oldest entries first until the new one fits; fresh marks an entry the
+// compute path produced (Import inserts non-fresh). It reports whether the
 // key was inserted (false: already present, or the entry alone exceeds
 // the whole budget), how many entries were evicted to make room, and
 // the accounted bytes those evictions freed. Metrics are the caller's
 // job — this runs inside the shard lock.
-func (sh *cacheShard) insert(key []byte, cubes int, budget int64) (inserted bool, evicted int, freed int64) {
+func (sh *cacheShard) insert(key []byte, cubes int, fresh bool, budget int64) (inserted bool, evicted int, freed int64) {
 	size := int64(len(key)) + entryBytesOverhead
 	if size > budget {
 		return false, 0, 0
@@ -162,6 +175,9 @@ func (sh *cacheShard) insert(key []byte, cubes int, budget int64) (inserted bool
 		old := sh.order[sh.head]
 		sh.order[sh.head] = ""
 		sh.head++
+		if sh.m[old].fresh {
+			sh.fresh--
+		}
 		delete(sh.m, old)
 		sh.bytes -= int64(len(old)) + entryBytesOverhead
 		freed += int64(len(old)) + entryBytesOverhead
@@ -174,17 +190,20 @@ func (sh *cacheShard) insert(key []byte, cubes int, budget int64) (inserted bool
 		sh.head = 0
 	}
 	ks := string(key)
-	sh.m[ks] = cubes
+	sh.m[ks] = memo{int32(cubes), fresh}
+	if fresh {
+		sh.fresh++
+	}
 	sh.order = append(sh.order, ks)
 	sh.bytes += size
 	return true, evicted, freed
 }
 
 // insertLocked is insert under the shard lock.
-func (sh *cacheShard) insertLocked(key []byte, cubes int, budget int64) (inserted bool, evicted int, freed int64) {
+func (sh *cacheShard) insertLocked(key []byte, cubes int, fresh bool, budget int64) (inserted bool, evicted int, freed int64) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return sh.insert(key, cubes, budget)
+	return sh.insert(key, cubes, fresh, budget)
 }
 
 // ConstraintCubes is the memoized ConstraintCubes: exact minimization
@@ -225,7 +244,7 @@ func (c *Cache) constraintCubes(ctx context.Context, e *face.Encoding, con face.
 	}
 	sh := &c.shards[fnvShard(kb.key)]
 	sh.mu.RLock()
-	k, hit := sh.m[string(kb.key)]
+	v, hit := sh.m[string(kb.key)]
 	sh.mu.RUnlock()
 	if hit {
 		// Hot path: corpus re-runs take this branch millions of times per
@@ -235,7 +254,7 @@ func (c *Cache) constraintCubes(ctx context.Context, e *face.Encoding, con face.
 		if mCacheHits.Value()&1023 == 0 {
 			updateRate()
 		}
-		return k, nil
+		return int(v.cubes), nil
 	}
 	t0 := time.Now()
 	defer func() { hCacheLookup.Observe(int64(time.Since(t0))) }()
@@ -255,7 +274,7 @@ func (c *Cache) constraintCubes(ctx context.Context, e *face.Encoding, con face.
 	}
 	mCacheMisses.Inc()
 	updateRate()
-	inserted, evicted, freed := sh.insertLocked(kb.key, k, c.shardBudget)
+	inserted, evicted, freed := sh.insertLocked(kb.key, k, true, c.shardBudget)
 	if inserted {
 		noteInsert(int64(len(kb.key))+entryBytesOverhead, evicted, freed)
 	}

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"picola/internal/face"
@@ -188,5 +189,63 @@ func TestCacheConcurrent(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Racing inserts of one key insert it once: every entry is fresh.
+	if fresh, all := cache.ExportFresh(), cache.Export(); !reflect.DeepEqual(fresh, all) {
+		t.Fatalf("fresh export holds %d of %d computed entries", len(fresh), len(all))
+	}
+}
+
+// TestCacheExportFresh: ExportFresh returns exactly the entries the
+// compute path inserted, in Export's order, never an imported one — and
+// a computed entry evicted by later imports leaves the fresh set too.
+func TestCacheExportFresh(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	cache := NewCache()
+	for trial := 0; trial < 60; trial++ {
+		e, c := randomInstance(r)
+		if _, err := cache.ConstraintCubes(e, c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	computed := cache.Export()
+	if len(computed) == 0 {
+		t.Fatal("no computed entries")
+	}
+	if got := cache.ExportFresh(); !reflect.DeepEqual(got, computed) {
+		t.Fatalf("fresh export holds %d entries, want the %d computed", len(got), len(computed))
+	}
+	// Imported entries (and re-imports of computed ones) are not fresh.
+	imported := sameShardEntries(8)
+	if _, err := cache.Import(append(imported, computed...)); err != nil {
+		t.Fatal(err)
+	}
+	if cache.Len() != len(computed)+len(imported) {
+		t.Fatalf("cache holds %d entries, want %d", cache.Len(), len(computed)+len(imported))
+	}
+	if got := cache.ExportFresh(); !reflect.DeepEqual(got, computed) {
+		t.Fatalf("fresh export after import holds %d entries, want %d", len(got), len(computed))
+	}
+	importOnly := NewCache()
+	if _, err := importOnly.Import(imported); err != nil {
+		t.Fatal(err)
+	}
+	if got := importOnly.ExportFresh(); len(got) != 0 {
+		t.Fatalf("an import-only cache exports %d fresh entries", len(got))
+	}
+
+	// Eviction: one fresh entry pushed out of a 3-entry shard by imports.
+	small := NewCacheBytes(cacheShards * 3 * entrySizeNV4)
+	ents := sameShardEntries(4)
+	sh := &small.shards[fnvShard(ents[0].Key())]
+	sh.insertLocked(ents[0].Key(), ents[0].Cubes, true, small.shardBudget)
+	if got := small.ExportFresh(); len(got) != 1 {
+		t.Fatalf("fresh export holds %d entries, want 1", len(got))
+	}
+	if _, err := small.Import(ents[1:]); err != nil {
+		t.Fatal(err)
+	}
+	if got := small.ExportFresh(); len(got) != 0 || sh.fresh != 0 {
+		t.Fatalf("evicted fresh entry still exported (%d entries, count %d)", len(got), sh.fresh)
 	}
 }

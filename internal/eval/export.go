@@ -3,6 +3,7 @@ package eval
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -55,27 +56,35 @@ func parseCacheKey(key string, cubes int) (CacheEntry, bool) {
 	return ent, true
 }
 
-// buildCacheKey is the inverse of parseCacheKey: the interned key bytes
-// of an entry's signature.
-func buildCacheKey(ent CacheEntry) []byte {
-	w := entryWords(ent.NV)
-	key := make([]byte, 2, 2+16*w)
+// AppendKey appends the entry's canonical key bytes (the inverse of
+// parseCacheKey) to dst and returns the extended slice, so callers
+// hashing or comparing many keys can reuse one buffer.
+func (ent CacheEntry) AppendKey(dst []byte) []byte {
+	tag := byte(0)
 	if ent.Heuristic {
-		key[0] = 1
+		tag = 1
 	}
-	key[1] = byte(ent.NV)
+	dst = append(dst, tag, byte(ent.NV))
 	for _, words := range [][]uint64{ent.Used, ent.On} {
 		for _, v := range words {
-			key = binary.LittleEndian.AppendUint64(key, v)
+			dst = binary.LittleEndian.AppendUint64(dst, v)
 		}
 	}
-	return key
+	return dst
 }
 
 // Export snapshots every memoized entry in a deterministic order (sorted
 // by raw key bytes). A nil cache exports nothing. Concurrent inserts may
 // or may not be included; each exported entry is individually consistent.
-func (c *Cache) Export() []CacheEntry {
+func (c *Cache) Export() []CacheEntry { return c.export(false) }
+
+// ExportFresh is Export restricted to the entries this cache computed
+// itself: everything memoized except what Import installed. It is the
+// part of the cache a persistent tier behind it has not seen yet, so a
+// run whose every lookup hit an imported entry exports nothing.
+func (c *Cache) ExportFresh() []CacheEntry { return c.export(true) }
+
+func (c *Cache) export(freshOnly bool) []CacheEntry {
 	if c == nil {
 		return nil
 	}
@@ -86,17 +95,24 @@ func (c *Cache) Export() []CacheEntry {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.RLock()
+		if freshOnly && sh.fresh == 0 {
+			sh.mu.RUnlock()
+			continue
+		}
 		//lint:ignore detrange pair collection sorted by key below before any use
 		for k, v := range sh.m {
+			if freshOnly && !v.fresh {
+				continue
+			}
 			pairs = append(pairs, struct {
 				key   string
 				cubes int
-			}{k, v})
+			}{k, int(v.cubes)})
 		}
 		sh.mu.RUnlock()
 	}
-	// The interned key bytes ARE the canonical order (buildCacheKey is
-	// the identity round-trip of parseCacheKey), so sort the raw keys —
+	// The interned key bytes ARE the canonical order (AppendKey is the
+	// identity round-trip of parseCacheKey), so sort the raw keys —
 	// rebuilding a key per comparison would allocate O(n log n) times.
 	sort.Slice(pairs, func(a, b int) bool { return pairs[a].key < pairs[b].key })
 	entries := make([]CacheEntry, 0, len(pairs))
@@ -112,7 +128,9 @@ func (c *Cache) Export() []CacheEntry {
 // interned key the in-memory cache indexes by, and the content address
 // the on-disk store shards by. Equal minimization inputs have equal
 // keys whatever produced them.
-func (ent CacheEntry) Key() []byte { return buildCacheKey(ent) }
+func (ent CacheEntry) Key() []byte {
+	return ent.AppendKey(make([]byte, 0, 2+16*entryWords(ent.NV)))
+}
 
 // ImportStats breaks one Import down by outcome class, so a store load
 // that drops entries is debuggable instead of one lumped error: every
@@ -131,7 +149,7 @@ type ImportStats struct {
 	BadNV int
 	// BadShape entries carry bitsets of the wrong word count for NV.
 	BadShape int
-	// BadCubes entries declare a negative cube count.
+	// BadCubes entries declare a cube count outside [0, 2^31).
 	BadCubes int
 	// Evicted is the number of older memoized entries evicted to fit
 	// the inserted ones.
@@ -141,6 +159,18 @@ type ImportStats struct {
 // Skipped is the total of entries not inserted, across every class.
 func (s ImportStats) Skipped() int {
 	return s.Duplicate + s.Oversize + s.BadNV + s.BadShape + s.BadCubes
+}
+
+// Add accumulates another import's counts, for callers importing in
+// batches.
+func (s *ImportStats) Add(o ImportStats) {
+	s.Inserted += o.Inserted
+	s.Duplicate += o.Duplicate
+	s.Oversize += o.Oversize
+	s.BadNV += o.BadNV
+	s.BadShape += o.BadShape
+	s.BadCubes += o.BadCubes
+	s.Evicted += o.Evicted
 }
 
 // String renders the non-zero classes, for logs.
@@ -164,12 +194,14 @@ func (s ImportStats) String() string {
 // and counted per failure class — a malformed entry never aborts the
 // rest of the batch — and the only error is importing into a nil cache.
 // Importing never changes an existing memoized value: the first entry
-// for a key wins, matching the compute path's semantics.
+// for a key wins, matching the compute path's semantics. Imported
+// entries are never fresh (see ExportFresh).
 func (c *Cache) Import(entries []CacheEntry) (ImportStats, error) {
 	var st ImportStats
 	if c == nil {
 		return st, fmt.Errorf("eval: cannot import into a nil cache")
 	}
+	var key []byte
 	for _, ent := range entries {
 		if ent.NV < 1 || ent.NV > cacheMaxNV {
 			st.BadNV++
@@ -179,13 +211,13 @@ func (c *Cache) Import(entries []CacheEntry) (ImportStats, error) {
 			st.BadShape++
 			continue
 		}
-		if ent.Cubes < 0 {
+		if ent.Cubes < 0 || ent.Cubes > math.MaxInt32 {
 			st.BadCubes++
 			continue
 		}
-		key := buildCacheKey(ent)
+		key = ent.AppendKey(key[:0])
 		sh := &c.shards[fnvShard(key)]
-		inserted, evicted, freed := sh.insertLocked(key, ent.Cubes, c.shardBudget)
+		inserted, evicted, freed := sh.insertLocked(key, ent.Cubes, false, c.shardBudget)
 		dup := !inserted && int64(len(key))+entryBytesOverhead <= c.shardBudget
 		switch {
 		case inserted:

@@ -16,10 +16,12 @@
 //
 // The write cycle is append-then-atomic-rename: new entries are framed
 // and appended to the WAL (one Write call per frame), and Compact folds
-// shards + WAL into freshly written shard files — each written to a
-// temp file and atomically renamed into place — before truncating the
-// WAL. A crash at any point loses at most the torn tail of the WAL:
-// compaction truncates the journal only after every shard rename, so an
+// the WAL into the shard files its entries hash to — each rewritten to
+// a temp file and atomically renamed into place — before truncating the
+// WAL. Shards no WAL entry touches are left alone, so a store with an
+// empty WAL and no corrupt shard compacts to zero bytes written. A
+// crash at any point loses at most the torn tail of the WAL: compaction
+// truncates the journal only after every shard rename, so an
 // interrupted cycle leaves duplicate entries (harmless — first wins),
 // never missing ones.
 //
@@ -29,8 +31,8 @@
 package evalstore
 
 import (
+	"bytes"
 	"fmt"
-	"hash/fnv"
 	"os"
 	"path/filepath"
 	"sort"
@@ -41,10 +43,9 @@ import (
 	"picola/internal/obs"
 )
 
-// Store metrics: entries read at load (before dedup/import), shard
-// files and WAL frames skipped as corrupt, entries appended to the WAL,
-// entries written by the last compaction, and the current on-disk
-// entry count.
+// Store metrics: distinct entries found by Load, shard files and WAL
+// frames skipped as corrupt, entries appended to the WAL, entries
+// written by compactions, and the current on-disk entry count.
 var (
 	mLoadEntries  = obs.Default.Counter("evalstore.load.entries")
 	mLoadSkipped  = obs.Default.Counter("evalstore.load.skipped_shards")
@@ -64,13 +65,20 @@ const (
 
 func shardName(i int) string { return fmt.Sprintf("shard-%02x.ir", i) }
 
-// shardOf assigns a canonical key to an on-disk shard (FNV-1a). The
-// assignment is part of the layout: every process sharding the same key
-// space places every entry in the same file.
+// shardOf assigns a canonical key to an on-disk shard (64-bit FNV-1a).
+// The assignment is part of the layout: every process sharding the same
+// key space places every entry in the same file.
 func shardOf(key []byte) int {
-	h := fnv.New64a()
-	_, _ = h.Write(key) // hash.Hash.Write is documented to never fail
-	return int(h.Sum64() % storeShards)
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for _, b := range key {
+		h ^= uint64(b)
+		h *= prime64
+	}
+	return int(h % storeShards)
 }
 
 // Store is one on-disk cache directory. All methods are safe for
@@ -82,11 +90,20 @@ type Store struct {
 	dir string
 
 	mu sync.Mutex
-	// known holds the canonical keys believed to be on disk (loaded or
-	// appended by this process); Append uses it to write only novel
-	// entries.
-	known map[string]struct{}
-	wal   *os.File
+	// loaded reports that idx, corrupt and extra describe the directory
+	// as this process last read it (Load, or Compact's own first read).
+	loaded bool
+	// idx[i] is the sorted key set of shard file i as loaded.
+	idx [storeShards]keyIndex
+	// corrupt[i] marks a shard file the load skipped; the next Compact
+	// rewrites it.
+	corrupt [storeShards]bool
+	// extra holds the keys on disk that no loaded shard file holds:
+	// read from the WAL, or appended by this process. With idx it is
+	// everything Append must not write again.
+	extra   map[string]struct{}
+	entries int // len(extra) + the idx sizes: the on-disk entry count
+	wal     *os.File
 }
 
 // Open opens (creating if needed) a store directory.
@@ -94,7 +111,7 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("evalstore: %w", err)
 	}
-	return &Store{dir: dir, known: make(map[string]struct{})}, nil
+	return &Store{dir: dir, extra: make(map[string]struct{})}, nil
 }
 
 // Dir returns the store's directory.
@@ -110,6 +127,98 @@ func (s *Store) Close() error {
 	err := s.wal.Close()
 	s.wal = nil
 	return err
+}
+
+// keyIndex is a sorted set of canonical keys stored back to back: key i
+// is buf[ends[i-1]:ends[i]] (ends[-1] being 0). It costs the key bytes
+// plus one int per key, where a map of strings would cost a header, an
+// allocation and a bucket slot each.
+type keyIndex struct {
+	buf  []byte
+	ends []int
+}
+
+func (x *keyIndex) key(i int) []byte {
+	lo := 0
+	if i > 0 {
+		lo = x.ends[i-1]
+	}
+	return x.buf[lo:x.ends[i]]
+}
+
+// has reports whether k is in the set (binary search).
+func (x *keyIndex) has(k []byte) bool {
+	lo, hi := 0, len(x.ends)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if bytes.Compare(x.key(mid), k) < 0 {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo < len(x.ends) && bytes.Equal(x.key(lo), k)
+}
+
+// indexShard builds the key index of shard file i's entries. Compact
+// writes every shard sorted by key and holding only keys that hash to
+// it; a file breaking either rule was not written by Compact and is
+// rejected (ok false) like an undecodable one.
+func indexShard(i int, ents []eval.CacheEntry, sizeHint int) (x keyIndex, ok bool) {
+	x.buf = make([]byte, 0, sizeHint)
+	x.ends = make([]int, 0, len(ents))
+	for j, ent := range ents {
+		lo := len(x.buf)
+		x.buf = ent.AppendKey(x.buf)
+		k := x.buf[lo:]
+		if shardOf(k) != i || j > 0 && bytes.Compare(x.key(j-1), k) >= 0 {
+			return keyIndex{}, false
+		}
+		x.ends = append(x.ends, len(x.buf))
+	}
+	return x, true
+}
+
+// readShard decodes shard file i, returning its entries and the file
+// size. A missing file is reported as os.ErrNotExist.
+func (s *Store) readShard(i int) ([]eval.CacheEntry, int, error) {
+	b, err := os.ReadFile(filepath.Join(s.dir, shardName(i)))
+	if err != nil {
+		return nil, 0, err
+	}
+	f, err := ir.Unmarshal(b)
+	if err != nil {
+		return nil, 0, err
+	}
+	return f.CacheEntries, len(b), nil
+}
+
+// walScan is one read of the journal: the decoded frames in file order
+// plus the skip accounting.
+type walScan struct {
+	frames    [][]eval.CacheEntry
+	badFrames int
+	tornBytes int
+	size      int
+}
+
+func (s *Store) readWAL() (walScan, error) {
+	var w walScan
+	b, err := os.ReadFile(filepath.Join(s.dir, walName))
+	if err != nil && !os.IsNotExist(err) {
+		return w, fmt.Errorf("evalstore: %w", err)
+	}
+	payloads, clean := ir.ScanFrames(b)
+	w.size, w.tornBytes = len(b), len(b)-clean
+	for _, p := range payloads {
+		f, err := ir.Unmarshal(p)
+		if err != nil {
+			w.badFrames++
+			continue
+		}
+		w.frames = append(w.frames, f.CacheEntries)
+	}
+	return w, nil
 }
 
 // LoadStats describes one Load: what was read, what was skipped per
@@ -130,96 +239,98 @@ type LoadStats struct {
 	// Entries is the number of distinct entries found on disk.
 	Entries int
 	// Import is the per-class outcome of installing them into the
-	// cache; zero when Load was given a nil cache.
+	// cache; zero when Load was given a nil cache. Entries the WAL
+	// repeats count as Duplicate.
 	Import eval.ImportStats
 }
 
-// Load reads every shard file and the WAL, deduplicates (first wins, in
-// shard order then WAL order), and imports the entries into c (skipped
-// when c is nil — useful to inventory a store). Torn or corrupt shard
-// files and WAL frames are counted and skipped, never fatal; the only
-// errors are environmental (an unreadable directory).
+// Load reads every shard file and the WAL in one pass, importing each
+// decoded batch straight into c (first wins, in shard order then WAL
+// order — the cache's own dedup) unless c is nil, which only
+// inventories the store. Torn or corrupt shard files and WAL frames are
+// counted and skipped, never fatal; the only errors are environmental
+// (an unreadable directory).
 func (s *Store) Load(c *eval.Cache) (LoadStats, error) {
-	entries, st, err := s.readAll()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	st, err := s.load(c)
 	if err != nil {
 		return st, err
 	}
-	if c != nil {
-		st.Import, err = c.Import(entries)
-		if err != nil {
-			return st, err
-		}
-	}
+	mLoadEntries.Add(int64(st.Entries))
 	return st, nil
 }
 
-// readAll is the single disk-read path shared by Load, Entries, and
-// Compact: every distinct entry on disk (first wins, shard order then
-// WAL order) plus the skip accounting, with no in-memory cache bound
-// applied.
-func (s *Store) readAll() ([]eval.CacheEntry, LoadStats, error) {
+// load is Load under the lock, without the load counter (Compact loads
+// through it too).
+func (s *Store) load(c *eval.Cache) (LoadStats, error) {
 	var st LoadStats
-	var entries []eval.CacheEntry
-	seen := make(map[string]struct{})
-	add := func(batch []eval.CacheEntry) {
-		for _, ent := range batch {
-			k := string(ent.Key())
-			if _, dup := seen[k]; dup {
-				continue
-			}
-			seen[k] = struct{}{}
-			entries = append(entries, ent)
+	importBatch := func(batch []eval.CacheEntry) error {
+		if c == nil {
+			return nil
 		}
+		is, err := c.Import(batch)
+		st.Import.Add(is)
+		return err
 	}
-	for i := 0; i < storeShards; i++ {
-		b, err := os.ReadFile(filepath.Join(s.dir, shardName(i)))
+	var idx [storeShards]keyIndex
+	var corrupt [storeShards]bool
+	for i := range idx {
+		ents, size, err := s.readShard(i)
 		if os.IsNotExist(err) {
 			continue
 		}
-		if err != nil {
-			st.SkippedShards++
-			mLoadSkipped.Inc()
-			continue
+		var ok bool
+		if err == nil {
+			idx[i], ok = indexShard(i, ents, size)
 		}
-		f, err := ir.Unmarshal(b)
-		if err != nil {
+		if !ok {
+			corrupt[i] = true
 			st.SkippedShards++
 			mLoadSkipped.Inc()
 			continue
 		}
 		st.ShardFiles++
-		add(f.CacheEntries)
-	}
-	wal, err := os.ReadFile(filepath.Join(s.dir, walName))
-	if err != nil && !os.IsNotExist(err) {
-		return nil, st, fmt.Errorf("evalstore: %w", err)
-	}
-	payloads, clean := ir.ScanFrames(wal)
-	st.WALTornBytes = len(wal) - clean
-	for _, p := range payloads {
-		f, err := ir.Unmarshal(p)
-		if err != nil {
-			st.WALBadFrames++
-			mLoadBadFrame.Inc()
-			continue
+		st.Entries += len(idx[i].ends)
+		if err := importBatch(ents); err != nil {
+			return st, err
 		}
-		st.WALFrames++
-		add(f.CacheEntries)
 	}
-	st.Entries = len(entries)
-	mLoadEntries.Add(int64(len(entries)))
-	s.noteKnown(seen)
-	return entries, st, nil
+	w, err := s.readWAL()
+	if err != nil {
+		return st, err
+	}
+	st.WALFrames, st.WALBadFrames, st.WALTornBytes = len(w.frames), w.badFrames, w.tornBytes
+	mLoadBadFrame.Add(int64(w.badFrames))
+	extra := make(map[string]struct{})
+	var key []byte
+	for _, batch := range w.frames {
+		if err := importBatch(batch); err != nil {
+			return st, err
+		}
+		for _, ent := range batch {
+			key = ent.AppendKey(key[:0])
+			if idx[shardOf(key)].has(key) {
+				continue
+			}
+			if _, dup := extra[string(key)]; !dup {
+				extra[string(key)] = struct{}{}
+			}
+		}
+	}
+	st.Entries += len(extra)
+	s.loaded, s.idx, s.corrupt, s.extra, s.entries = true, idx, corrupt, extra, st.Entries
+	gEntries.Set(int64(s.entries))
+	return st, nil
 }
 
-// noteKnown merges freshly read keys into the known set under the lock.
-func (s *Store) noteKnown(seen map[string]struct{}) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for k := range seen {
-		s.known[k] = struct{}{}
+// onDisk reports whether key is known to be on disk.
+func (s *Store) onDisk(key []byte) bool {
+	if s.idx[shardOf(key)].has(key) {
+		return true
 	}
-	gEntries.Set(int64(len(s.known)))
+	_, ok := s.extra[string(key)]
+	return ok
 }
 
 // appendChunkEntries bounds one WAL frame's entry count. Chunking keeps
@@ -229,31 +340,29 @@ func (s *Store) noteKnown(seen map[string]struct{}) {
 // small batches.
 var appendChunkEntries = 1 << 16
 
-// Append frames the entries not already known to be on disk and appends
-// them to the WAL in canonical key order, chunked into frames of at
-// most appendChunkEntries, returning how many entries were written.
+// Append frames the entries not already known to be on disk (loaded,
+// or appended earlier by this process) and appends them to the WAL in
+// canonical key order, chunked into frames of at most
+// appendChunkEntries, returning how many entries were written.
 // Appending is the cheap end of the compaction cycle: O_APPEND frame
-// writes, no rewrite of any shard. A failure mid-way leaves the already
-// written frames valid — the next load deduplicates.
+// writes, no rewrite of any shard, and no file touched at all when
+// nothing is new. A failure mid-way leaves the already written frames
+// valid — the next load deduplicates.
 func (s *Store) Append(entries []eval.CacheEntry) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	type keyed struct {
-		key string
-		ent eval.CacheEntry
-	}
-	var fresh []keyed
+	var novel []eval.CacheEntry
+	var key []byte
 	for _, ent := range entries {
-		k := string(ent.Key())
-		if _, ok := s.known[k]; ok {
-			continue
+		key = ent.AppendKey(key[:0])
+		if !s.onDisk(key) {
+			novel = append(novel, ent)
 		}
-		fresh = append(fresh, keyed{k, ent})
 	}
-	if len(fresh) == 0 {
+	if len(novel) == 0 {
 		return 0, nil
 	}
-	sort.Slice(fresh, func(i, j int) bool { return fresh[i].key < fresh[j].key })
+	fresh, keys := sortedUnique(novel)
 	if s.wal == nil {
 		f, err := os.OpenFile(filepath.Join(s.dir, walName),
 			os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
@@ -263,38 +372,32 @@ func (s *Store) Append(entries []eval.CacheEntry) (int, error) {
 		s.wal = f
 	}
 	written := 0
-	for len(fresh) > 0 {
-		batch := fresh
-		if len(batch) > appendChunkEntries {
-			batch = batch[:appendChunkEntries]
-		}
-		ents := make([]eval.CacheEntry, len(batch))
-		for i, kv := range batch {
-			ents[i] = kv.ent
-		}
-		payload, err := ir.Marshal(&ir.File{CacheEntries: ents})
+	for written < len(fresh) {
+		end := min(written+appendChunkEntries, len(fresh))
+		payload, err := ir.Marshal(&ir.File{CacheEntries: fresh[written:end]})
 		if err != nil {
 			return written, fmt.Errorf("evalstore: %w", err)
 		}
 		if err := ir.WriteFrame(s.wal, payload); err != nil {
 			return written, fmt.Errorf("evalstore: %w", err)
 		}
-		for _, kv := range batch {
-			s.known[kv.key] = struct{}{}
+		for _, k := range keys[written:end] {
+			s.extra[k] = struct{}{}
 		}
-		written += len(batch)
-		fresh = fresh[len(batch):]
+		written = end
 	}
+	s.entries += written
 	mAppended.Add(int64(written))
-	gEntries.Set(int64(len(s.known)))
+	gEntries.Set(int64(s.entries))
 	return written, nil
 }
 
 // CompactStats describes one compaction.
 type CompactStats struct {
-	// Entries is the distinct entry count written across the shards.
+	// Entries is the distinct entry count written across the rewritten
+	// shards.
 	Entries int
-	// ShardFiles is the number of shard files written.
+	// ShardFiles is the number of shard files rewritten.
 	ShardFiles int
 	// WALBytes is the journal size reclaimed by the truncation.
 	WALBytes int64
@@ -306,116 +409,152 @@ type CompactStats struct {
 	KeptWAL bool
 }
 
-// Compact folds the shard files and the WAL into freshly written shard
-// files — each marshalled as one canonical picola-ir/v1 container,
-// written to a temp file in the store directory and atomically renamed
-// into place — then truncates the WAL. Unreadable inputs are skipped
-// exactly as in Load, except that a CRC-valid WAL frame the decoder
-// rejects keeps the journal in place (see CompactStats.KeptWAL). A
-// crash mid-compaction is safe at every point: the WAL still holds
-// everything not yet renamed, and duplicate entries between an old WAL
-// and new shards deduplicate on the next load.
+// Compact folds the WAL into the shard files its entries hash to, plus
+// any shard the load found corrupt: each such shard's readable entries
+// and its WAL entries are merged (first wins, shard before WAL), sorted
+// by key, marshalled as one canonical picola-ir/v1 container, written
+// to a temp file in the store directory and atomically renamed into
+// place; then the WAL is truncated. Every other shard file is left
+// untouched, so with an empty WAL and no corrupt shard Compact writes
+// nothing at all. A CRC-valid WAL frame the decoder rejects keeps the
+// journal in place (see CompactStats.KeptWAL). A crash mid-compaction
+// is safe at every point: the WAL still holds everything not yet
+// renamed, and duplicate entries between an old WAL and new shards
+// deduplicate on the next load. A store never loaded by this process is
+// loaded first (without a cache) to learn which shards are corrupt.
 func (s *Store) Compact() (CompactStats, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	var st CompactStats
-	entries, ls, err := s.readAll()
+	if !s.loaded {
+		if _, err := s.load(nil); err != nil {
+			return st, err
+		}
+	}
+	w, err := s.readWAL()
 	if err != nil {
 		return st, err
 	}
-	byShard := make([][]eval.CacheEntry, storeShards)
-	keysByShard := make([][]string, storeShards)
-	for _, ent := range entries {
-		k := ent.Key()
-		i := shardOf(k)
-		byShard[i] = append(byShard[i], ent)
-		keysByShard[i] = append(keysByShard[i], string(k))
+	dirty := s.corrupt
+	var fromWAL [storeShards][]eval.CacheEntry
+	var key []byte
+	for _, batch := range w.frames {
+		for _, ent := range batch {
+			key = ent.AppendKey(key[:0])
+			i := shardOf(key)
+			fromWAL[i] = append(fromWAL[i], ent)
+			dirty[i] = true
+		}
 	}
-	for i, batch := range byShard {
-		if len(batch) == 0 {
+	for i := range dirty {
+		if !dirty[i] {
 			continue
 		}
-		keys := keysByShard[i]
-		sort.Sort(&keyedEntries{keys: keys, ents: batch})
-		payload, err := ir.Marshal(&ir.File{CacheEntries: batch})
-		if err != nil {
-			return st, fmt.Errorf("evalstore: shard %d: %w", i, err)
+		// A shard corrupt at load (or unreadable now) is replaced by what
+		// the WAL holds for it.
+		var old []eval.CacheEntry
+		if !s.corrupt[i] {
+			old, _, _ = s.readShard(i)
 		}
-		tmp, err := os.CreateTemp(s.dir, shardName(i)+".tmp-*")
-		if err != nil {
-			return st, fmt.Errorf("evalstore: %w", err)
+		merged, _ := sortedUnique(append(old, fromWAL[i]...))
+		if err := s.writeShard(i, merged); err != nil {
+			return st, err
 		}
-		_, werr := tmp.Write(payload)
-		cerr := tmp.Close()
-		if werr != nil || cerr != nil {
-			_ = os.Remove(tmp.Name())
-			return st, fmt.Errorf("evalstore: shard %d: write %v, close %v", i, werr, cerr)
-		}
-		if err := os.Rename(tmp.Name(), filepath.Join(s.dir, shardName(i))); err != nil {
-			_ = os.Remove(tmp.Name())
-			return st, fmt.Errorf("evalstore: %w", err)
-		}
+		s.corrupt[i] = false
 		st.ShardFiles++
-		st.Entries += len(batch)
+		st.Entries += len(merged)
 	}
-	// Every readable entry is now in a renamed shard. The journal is
+	mCompacted.Add(int64(st.Entries))
+	if w.size == 0 {
+		return st, nil
+	}
+	// Every readable WAL entry is now in a renamed shard. The journal is
 	// redundant — unless it holds CRC-valid frames this decoder rejected
 	// (a writer or version bug, not crash debris): those entries exist
 	// nowhere else, so keep the journal for a future binary to recover.
-	if ls.WALBadFrames > 0 {
+	if w.badFrames > 0 {
 		st.KeptWAL = true
-		mCompacted.Add(int64(st.Entries))
 		return st, nil
 	}
-	walPath := filepath.Join(s.dir, walName)
-	if fi, err := os.Stat(walPath); err == nil {
-		st.WALBytes = fi.Size()
+	st.WALBytes = int64(w.size)
+	if s.wal != nil {
+		err = s.wal.Truncate(0)
+	} else if err = os.Truncate(filepath.Join(s.dir, walName), 0); os.IsNotExist(err) {
+		err = nil
 	}
-	if err := s.truncateWAL(walPath); err != nil {
+	if err != nil {
 		return st, fmt.Errorf("evalstore: %w", err)
 	}
-	mCompacted.Add(int64(st.Entries))
 	return st, nil
 }
 
-// keyedEntries sorts an entry slice by a parallel precomputed key
-// slice, keeping both aligned.
-type keyedEntries struct {
-	keys []string
-	ents []eval.CacheEntry
-}
-
-func (k *keyedEntries) Len() int           { return len(k.keys) }
-func (k *keyedEntries) Less(i, j int) bool { return k.keys[i] < k.keys[j] }
-func (k *keyedEntries) Swap(i, j int) {
-	k.keys[i], k.keys[j] = k.keys[j], k.keys[i]
-	k.ents[i], k.ents[j] = k.ents[j], k.ents[i]
-}
-
-// truncateWAL empties the journal (through the open handle when one
-// exists, so subsequent appends keep working) under the lock.
-func (s *Store) truncateWAL(walPath string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.wal != nil {
-		return s.wal.Truncate(0)
+// sortedUnique returns ents sorted by canonical key with only the first
+// of each equal-key run kept (callers list shard entries before WAL
+// entries, in file order), and the kept entries' keys.
+func sortedUnique(ents []eval.CacheEntry) ([]eval.CacheEntry, []string) {
+	keys := make([]string, len(ents))
+	ord := make([]int, len(ents))
+	var key []byte
+	for i, ent := range ents {
+		key = ent.AppendKey(key[:0])
+		keys[i], ord[i] = string(key), i
 	}
-	if err := os.Truncate(walPath, 0); err != nil && !os.IsNotExist(err) {
-		return err
+	sort.Slice(ord, func(a, b int) bool {
+		ka, kb := keys[ord[a]], keys[ord[b]]
+		return ka < kb || ka == kb && ord[a] < ord[b]
+	})
+	out := make([]eval.CacheEntry, 0, len(ents))
+	outKeys := make([]string, 0, len(ents))
+	for j, i := range ord {
+		if j == 0 || keys[i] != keys[ord[j-1]] {
+			out = append(out, ents[i])
+			outKeys = append(outKeys, keys[i])
+		}
+	}
+	return out, outKeys
+}
+
+// writeShard replaces shard file i with one container holding ents:
+// written to a temp file, then atomically renamed into place.
+func (s *Store) writeShard(i int, ents []eval.CacheEntry) error {
+	payload, err := ir.Marshal(&ir.File{CacheEntries: ents})
+	if err != nil {
+		return fmt.Errorf("evalstore: shard %d: %w", i, err)
+	}
+	tmp, err := os.CreateTemp(s.dir, shardName(i)+".tmp-*")
+	if err != nil {
+		return fmt.Errorf("evalstore: %w", err)
+	}
+	_, werr := tmp.Write(payload)
+	cerr := tmp.Close()
+	if werr != nil || cerr != nil {
+		_ = os.Remove(tmp.Name())
+		return fmt.Errorf("evalstore: shard %d: write %v, close %v", i, werr, cerr)
+	}
+	if err := os.Rename(tmp.Name(), filepath.Join(s.dir, shardName(i))); err != nil {
+		_ = os.Remove(tmp.Name())
+		return fmt.Errorf("evalstore: %w", err)
 	}
 	return nil
 }
 
-// Entries returns every distinct entry on disk in canonical key order
-// (the inventory view; unreadable inputs skipped as in Load, and no
-// in-memory cache bound applied — the full store is always returned).
+// Entries returns every distinct entry in the decodable shard files and
+// WAL frames, in canonical key order (the inventory view: no in-memory
+// cache bound applied — the full store is always returned).
 func (s *Store) Entries() ([]eval.CacheEntry, error) {
-	entries, _, err := s.readAll()
+	var all []eval.CacheEntry
+	for i := 0; i < storeShards; i++ {
+		if ents, _, err := s.readShard(i); err == nil {
+			all = append(all, ents...)
+		}
+	}
+	w, err := s.readWAL()
 	if err != nil {
 		return nil, err
 	}
-	keys := make([]string, len(entries))
-	for i := range entries {
-		keys[i] = string(entries[i].Key())
+	for _, batch := range w.frames {
+		all = append(all, batch...)
 	}
-	sort.Sort(&keyedEntries{keys: keys, ents: entries})
-	return entries, nil
+	merged, _ := sortedUnique(all)
+	return merged, nil
 }

@@ -2,10 +2,13 @@ package evalstore
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"testing"
+	"time"
 
 	"picola/internal/eval"
 	"picola/internal/ir"
@@ -446,5 +449,269 @@ func TestStoreEntriesCanonicalOrder(t *testing.T) {
 		if bytes.Compare(got[i-1].Key(), got[i].Key()) >= 0 {
 			t.Fatalf("inventory out of canonical order at %d", i)
 		}
+	}
+}
+
+// freezeDir backdates every file under dir, so any later write shows in
+// its mtime, and returns the directory's state.
+func freezeDir(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	old := time.Date(2001, 1, 1, 0, 0, 0, 0, time.UTC)
+	for name := range dirState(t, dir) {
+		if err := os.Chtimes(filepath.Join(dir, name), old, old); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dirState(t, dir)
+}
+
+// dirState maps every file under dir to its size, mtime and content.
+func dirState(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]string, len(des))
+	for _, de := range des {
+		p := filepath.Join(dir, de.Name())
+		fi, err := os.Stat(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[de.Name()] = fmt.Sprintf("%d %d %s", fi.Size(), fi.ModTime().UnixNano(), b)
+	}
+	return out
+}
+
+// changedFiles lists the files that differ between two states or exist
+// in only one.
+func changedFiles(before, after map[string]string) []string {
+	var out []string
+	for name, b := range before {
+		if a, ok := after[name]; !ok || a != b {
+			out = append(out, name)
+		}
+	}
+	for name := range after {
+		if _, ok := before[name]; !ok {
+			out = append(out, name)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// compactedStore fills a fresh store with ents and compacts it.
+func compactedStore(t *testing.T, ents []eval.CacheEntry) string {
+	t.Helper()
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Append(ents); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// TestStoreCleanCompactWritesNothing: Load, then Append of everything
+// loaded, then Compact — the warm re-run cycle — leaves every file's
+// size, content and mtime unchanged and creates no file.
+func TestStoreCleanCompactWritesNothing(t *testing.T) {
+	dir := compactedStore(t, testEntries(64))
+	before := freezeDir(t, dir)
+
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	c := eval.NewCache()
+	if _, err := s.Load(c); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := s.Append(c.Export()); err != nil || n != 0 {
+		t.Fatalf("append of loaded entries wrote %d (err %v), want 0", n, err)
+	}
+	cs, err := s.Compact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cs != (CompactStats{}) {
+		t.Fatalf("clean compaction stats %+v, want zero", cs)
+	}
+	if ch := changedFiles(before, dirState(t, dir)); len(ch) > 0 {
+		t.Fatalf("clean cycle touched %v", ch)
+	}
+}
+
+// TestStoreCompactRewritesOnlyDirtyShard: one new entry rewrites only
+// the shard it hashes to (plus truncating the WAL), and the result is
+// byte-identical to compacting every entry from scratch.
+func TestStoreCompactRewritesOnlyDirtyShard(t *testing.T) {
+	all := testEntries(65)
+	dir := compactedStore(t, all[:64])
+	before := freezeDir(t, dir)
+
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := s.Load(eval.NewCache()); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := s.Append(all); err != nil || n != 1 {
+		t.Fatalf("append wrote %d (err %v), want the 1 new entry", n, err)
+	}
+	cs, err := s.Compact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirty := shardName(shardOf(all[64].Key()))
+	if cs.ShardFiles != 1 {
+		t.Fatalf("rewrote %d shard files, want 1", cs.ShardFiles)
+	}
+	after := dirState(t, dir)
+	if ch := changedFiles(before, after); !reflect.DeepEqual(ch, []string{dirty, walName}) {
+		t.Fatalf("changed files %v, want [%s %s]", ch, dirty, walName)
+	}
+	if fi, err := os.Stat(filepath.Join(dir, walName)); err != nil || fi.Size() != 0 {
+		t.Fatalf("WAL after compaction: %v size %v, want empty", err, fi)
+	}
+
+	fullDir := compactedStore(t, all)
+	for name := range dirState(t, fullDir) {
+		got, err1 := os.ReadFile(filepath.Join(dir, name))
+		want, err2 := os.ReadFile(filepath.Join(fullDir, name))
+		if err1 != nil || err2 != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s differs from a full rewrite (%v, %v)", name, err1, err2)
+		}
+	}
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	c := eval.NewCache()
+	if st, err := s2.Load(c); err != nil || st.Entries != len(all) {
+		t.Fatalf("reload: %+v (err %v), want %d entries", st, err, len(all))
+	}
+	if got, want := c.Export(), loadAll(t, fullDir); !reflect.DeepEqual(got, want) {
+		t.Fatalf("reloaded %d entries, a full rewrite holds %d", len(got), len(want))
+	}
+}
+
+// TestStoreCompactRewritesCorruptShard: a shard skipped as corrupt at
+// load is rewritten by the next Compact even when the WAL is empty, and
+// the store then loads clean.
+func TestStoreCompactRewritesCorruptShard(t *testing.T) {
+	dir := compactedStore(t, testEntries(64))
+	victim := filepath.Join(dir, shardName(shardOf(testEntry(0).Key())))
+	if err := os.WriteFile(victim, []byte("not a picola-ir file"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := s.Load(eval.NewCache())
+	if err != nil || st.SkippedShards != 1 {
+		t.Fatalf("load: %+v (err %v), want 1 skipped shard", st, err)
+	}
+	cs, err := s.Compact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cs.ShardFiles != 1 {
+		t.Fatalf("rewrote %d shard files, want the corrupt one", cs.ShardFiles)
+	}
+	// Rewritten once; a second compaction has nothing left to do.
+	if cs, err := s.Compact(); err != nil || cs.ShardFiles != 0 {
+		t.Fatalf("second compaction rewrote %d shard files (err %v)", cs.ShardFiles, err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if st, err := s2.Load(nil); err != nil || st.SkippedShards != 0 {
+		t.Fatalf("reload: %+v (err %v), want no skipped shard", st, err)
+	}
+}
+
+// TestStoreAppendIdempotent: appending the same entries twice in one
+// process writes them once, before and after a compaction.
+func TestStoreAppendIdempotent(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ents := testEntries(40)
+	// Duplicates inside one call are written once too.
+	if n, err := s.Append(append(ents[:20:20], ents...)); err != nil || n != len(ents) {
+		t.Fatalf("first append wrote %d (err %v), want %d", n, err, len(ents))
+	}
+	walPath := filepath.Join(dir, walName)
+	fi, err := os.Stat(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := s.Append(ents); err != nil || n != 0 {
+		t.Fatalf("second append wrote %d (err %v), want 0", n, err)
+	}
+	if fi2, err := os.Stat(walPath); err != nil || fi2.Size() != fi.Size() {
+		t.Fatalf("second append grew the WAL: %v", err)
+	}
+	if _, err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := s.Append(ents); err != nil || n != 0 {
+		t.Fatalf("append after compaction wrote %d (err %v), want 0", n, err)
+	}
+	if got := loadAll(t, dir); len(got) != len(ents) {
+		t.Fatalf("store holds %d entries, want %d", len(got), len(ents))
+	}
+}
+
+// TestStoreLoadCounter: evalstore.load.entries counts what Load found,
+// once — a compaction in the same cycle adds nothing to it.
+func TestStoreLoadCounter(t *testing.T) {
+	dir := compactedStore(t, testEntries(48))
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	before := mLoadEntries.Value()
+	st, err := s.Load(eval.NewCache())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Append(testEntries(64)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if d := mLoadEntries.Value() - before; d != int64(st.Entries) || st.Entries != 48 {
+		t.Fatalf("load counter grew by %d, LoadStats.Entries = %d, want both 48", d, st.Entries)
 	}
 }

@@ -80,6 +80,45 @@ func TestQuantileDeterministic(t *testing.T) {
 	}
 }
 
+// TestQuantileNeverExceedsMax: a bucket's upper bound can lie far above
+// every value the bucket holds, so each percentile is clamped to the
+// observed maximum — and stays a pure function of the snapshot.
+func TestQuantileNeverExceedsMax(t *testing.T) {
+	cases := []struct {
+		name   string
+		bounds []int64
+		obs    []int64
+	}{
+		{"single value below first bound", []int64{10, 100}, []int64{3}},
+		{"max inside a wide bucket", []int64{10, 100, 1000}, []int64{5, 40, 54}},
+		{"all in one bucket", []int64{100}, []int64{60, 61, 62, 63}},
+		{"overflow max", []int64{10}, []int64{1, 2, 500}},
+		{"latency layout", LatencyBounds, []int64{300, 40_000, 54_200_000}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			m := NewMetrics()
+			h := m.Histogram("h", c.bounds...)
+			for _, v := range c.obs {
+				h.Observe(v)
+			}
+			hs := m.Snapshot().Histograms["h"]
+			for _, q := range []float64{0, 0.5, 0.9, 0.99, 1} {
+				got := hs.Quantile(q)
+				if got > hs.Max {
+					t.Errorf("Quantile(%.2f) = %d above max %d", q, got, hs.Max)
+				}
+				if again := m.Snapshot().Histograms["h"].Quantile(q); again != got {
+					t.Errorf("Quantile(%.2f) not deterministic: %d vs %d", q, got, again)
+				}
+			}
+			if got := hs.Quantile(1); got != hs.Max {
+				t.Errorf("Quantile(1) = %d, want the max %d", got, hs.Max)
+			}
+		})
+	}
+}
+
 // TestLatencyHistogramLayout pins the shared log-bucket layout and the
 // bounds-copy semantics of the snapshot.
 func TestLatencyHistogramLayout(t *testing.T) {

@@ -80,7 +80,9 @@ func TestRunLedgerSnapshotsRegistry(t *testing.T) {
 		t.Errorf("timer = %+v", ts)
 	}
 	hs, ok := rec.Histograms["alpha_ns"]
-	if !ok || hs.Count != 1 || hs.P50NS != 1<<12 || hs.MaxNS != 2000 {
+	// The single 2µs value sits in the ≤4096ns bucket; the percentile is
+	// clamped to the observed max rather than reporting the bucket bound.
+	if !ok || hs.Count != 1 || hs.P50NS != 2000 || hs.MaxNS != 2000 {
 		t.Errorf("histogram = %+v (ok=%v)", hs, ok)
 	}
 	if rec.Cache == nil || rec.Cache.Hits != 3 || rec.Cache.HitRatePct != 75 {

@@ -280,8 +280,10 @@ type HistStat struct {
 
 // Quantile returns the deterministic q-quantile estimate of the recorded
 // distribution: the least bucket upper bound whose cumulative count
-// reaches ⌈q·count⌉. A rank landing in the overflow bucket reports the
-// observed maximum; an empty histogram reports 0. Being a pure function
+// reaches ⌈q·count⌉, clamped to the observed maximum (a bucket bound can
+// lie above every value the bucket holds). A rank landing in the
+// overflow bucket reports the observed maximum; an empty histogram
+// reports 0. Being a pure function
 // of the bucket counts, the estimate is identical for identical
 // snapshots — the property the ledger and obsdiff comparisons rely on.
 func (h HistStat) Quantile(q float64) int64 {
@@ -301,7 +303,7 @@ func (h HistStat) Quantile(q float64) int64 {
 			cum += h.Buckets[i]
 		}
 		if cum >= rank {
-			return b
+			return min(b, h.Max)
 		}
 	}
 	return h.Max

@@ -72,11 +72,21 @@ rm -f "$tables_tmp" "$ledger_tmp"
 # against a fresh store, then warm against the populated store. The two
 # aggregate snapshots must be byte-identical (the cache may change wall
 # time, never a measurement) and the warm pass must actually reuse the
-# store (zero newly appended entries).
+# store: it computes nothing new, so it writes nothing — every store
+# file keeps its checksum, size and mtime.
+store_listing() {
+  (cd "$1" && sha256sum -- * && stat -c '%n %s %y' -- *)
+}
 batch_dir=$(mktemp -d /tmp/picola-batch.XXXXXX)
 go run ./cmd/batch -gen -seed 7 -count 100 -max-symbols 14 "$batch_dir/corpus" >/dev/null
 go run ./cmd/batch -store "$batch_dir/store" -json "$batch_dir/cold.json" "$batch_dir/corpus" >/dev/null
+store_before=$(store_listing "$batch_dir/store")
 go run ./cmd/batch -store "$batch_dir/store" -json "$batch_dir/warm.json" "$batch_dir/corpus" >/dev/null
+store_after=$(store_listing "$batch_dir/store")
+if [ "$store_before" != "$store_after" ]; then
+  echo "warm batch re-run wrote to the store" >&2
+  exit 1
+fi
 cmp "$batch_dir/cold.json" "$batch_dir/warm.json"
 go run ./cmd/tables -diff "$batch_dir/cold.json" "$batch_dir/warm.json"
 rm -rf "$batch_dir"
