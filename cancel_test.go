@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -204,4 +205,79 @@ func TestCancelledEvaluate(t *testing.T) {
 	}
 	ctxutil.Hook = nil
 	cancelAtSite(t, p, encodeOnly+1, 1)
+}
+
+// envelopeProblem is a size-sweep instance at the upper end of the
+// column scan's range: n = 256 symbols (a power of two, so every column
+// move is forced) and n/8 constraints of 2 to 9 members.
+func envelopeProblem() *face.Problem {
+	const n = 256
+	r := rand.New(rand.NewSource(256))
+	p := &face.Problem{Name: "envelope-n256", Names: make([]string, n)}
+	for s := range p.Names {
+		p.Names[s] = fmt.Sprintf("s%d", s)
+	}
+	for len(p.Constraints) < n/8 {
+		c := face.NewConstraint(n)
+		for _, m := range r.Perm(n)[:2+r.Intn(8)] {
+			c.Add(m)
+		}
+		p.AddConstraint(c)
+	}
+	return p
+}
+
+// TestCancelColumnScanAtScale cuts a sequential n = 256 run at sampled
+// column-scan move sites — the first, the last and an evenly spaced
+// interior — and checks each cut returns the wrapped context.Canceled
+// and no result, and that an uncancelled run afterwards still matches
+// the pristine baseline.
+func TestCancelColumnScanAtScale(t *testing.T) {
+	p := envelopeProblem()
+	opts := Options{Workers: 1}
+	baseRes, err := Encode(context.Background(), p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := encodingBytes(t, baseRes)
+	// Number the column-scan sites of one run.
+	var total atomic.Int64
+	installHook(t, func(site string) {
+		if site == "core.column_scan" {
+			total.Add(1)
+		}
+	})
+	if _, err := Encode(context.Background(), p, opts); err != nil {
+		t.Fatal(err)
+	}
+	scans := total.Load()
+	if scans < 256 {
+		t.Fatalf("only %d column-scan sites at n = 256; the scan lost its deadline check", scans)
+	}
+	for j := int64(0); j <= 8; j++ {
+		k := min((scans*j)/8, scans-1)
+		ctx, cancel := context.WithCancel(context.Background())
+		var seen atomic.Int64
+		installHook(t, func(site string) {
+			if site == "core.column_scan" && seen.Add(1)-1 == k {
+				cancel()
+			}
+		})
+		res, err := Encode(ctx, p, opts)
+		cancel()
+		if err == nil || res != nil {
+			t.Fatalf("cut at column-scan site %d of %d: result %v, error %v", k, scans, res != nil, err)
+		}
+		if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "core.column_scan") {
+			t.Fatalf("cut at column-scan site %d: error %v is not a wrapped context.Canceled at the scan", k, err)
+		}
+	}
+	ctxutil.Hook = nil
+	after, err := Encode(context.Background(), p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := encodingBytes(t, after); got != base {
+		t.Errorf("encoding drifted after cancelled runs:\n%s\nvs\n%s", got, base)
+	}
 }

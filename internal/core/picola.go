@@ -166,18 +166,6 @@ func (t *tracked) unsatisfiedCount() int {
 	return t.unsat.Count()
 }
 
-// unsatisfiedCountRef is the scalar mark-scan reference of
-// unsatisfiedCount, kept for the classify parity suite.
-func (t *tracked) unsatisfiedCountRef() int {
-	n := 0
-	for s := 0; s < t.outsiders.N(); s++ {
-		if t.outsiders.Has(s) && t.mark[s] == 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // intruders returns the outsiders whose dichotomies are still unsatisfied
 // — the constraint's current intruder set I_k.
 func (t *tracked) intruders() face.Constraint {
@@ -214,6 +202,8 @@ type encoder struct {
 	// Per-solve caches: the marks only change in apply, so each row's
 	// unsatisfied-outsider list is invariant while one column is built.
 	unsat [][]int
+	// scan is solve's reusable per-column scratch (colscan.go).
+	scan colScan
 
 	// Pairwise nv-compatibility memo, flattened [satisfied][candidate]
 	// with row stride cmpStride (see compatibleFast); grown on demand
@@ -442,6 +432,9 @@ func encodeOnce(ctx context.Context, p *face.Problem, o Options, nv int, startZe
 				}})
 		}
 	}
+	// The column scratch is dead once the columns are built; drop it so
+	// the portfolio's finished variants do not hold it.
+	e.scan, e.unsat = colScan{}, nil
 	if !o.DisablePolish && n <= o.PolishMaxSymbols {
 		if err := e.polish(4); err != nil {
 			return nil, err
@@ -1350,9 +1343,10 @@ func (e *encoder) updateConstraints(j int) {
 // popcounts of the unsatisfied-outsider bitset, the per-row member count
 // and minimum dimension are creation-time constants, and each pairwise
 // compatibility check goes through the (satisfied, candidate) memo of
-// compatibleFast. classifyGeneric below is the retained scalar reference
-// the randomized parity suite replays against; on a warmed encoder one
-// classify scan performs no heap allocation (the TestAllocs gate).
+// compatibleFast. The scalar reference classifyGeneric lives in the
+// tests, as the oracle the randomized parity suite replays against; on a
+// warmed encoder one classify scan performs no heap allocation (the
+// TestAllocs gate).
 //
 //picola:hot
 func (e *encoder) classify(j int) []int {
@@ -1409,56 +1403,6 @@ func (e *encoder) classify(j int) []int {
 	e.infeasScratch = out
 	if h, m := mCmpMemoHits.Value(), mCmpMemoMisses.Value(); h+m > 0 {
 		gCmpMemoRate.Set(h * 100 / (h + m))
-	}
-	return out
-}
-
-// classifyGeneric is the scalar reference implementation of classify —
-// the pre-memo pairwise code, byte-for-byte semantics — kept live as the
-// oracle the randomized parity tests replay both paths against.
-func (e *encoder) classifyGeneric(j int) []int {
-	var out []int
-	remaining := e.nv - j
-	for i, t := range e.rows {
-		if t.satisfied || t.infeasible {
-			continue
-		}
-		intr := t.unsatisfiedCountRef()
-		if intr == 0 {
-			continue
-		}
-		bad := false
-		switch {
-		case remaining == 0:
-			bad = true
-		case len(t.agreeCols) >= e.nv-minDim(t.members.Count()):
-			bad = true
-		default:
-			for _, s := range e.rows {
-				if !s.satisfied || s == t {
-					continue
-				}
-				if !e.compatible(s, t) {
-					bad = true
-					break
-				}
-			}
-		}
-		if bad {
-			t.infeasible = true
-			out = append(out, i)
-			mInfeasible.Inc()
-			if e.tr != nil {
-				obs.Emit(e.tr, obs.Event{Kind: obs.KindEvent, Stage: "classify", Name: "infeasible",
-					Attrs: map[string]float64{
-						"variant":   float64(e.variant),
-						"row":       float64(i),
-						"col":       float64(j),
-						"intruders": float64(intr),
-						"depth":     float64(t.depth),
-					}})
-			}
-		}
 	}
 	return out
 }
@@ -1523,14 +1467,14 @@ func (e *encoder) compatibleFast(ai, bi int, a, b *tracked) bool {
 
 // compatibleSet decides nv-compatibility (§3.3.1) between a satisfied
 // constraint a and a candidate b in closed form, given their member
-// intersection count son. The scalar reference (compatible) scans every
-// admissible (dimA, dimB, dimAB) triple; here the disjoint, identical and
-// nested cases collapse to constant-time checks, and the genuinely
-// ambiguous case (0 < son < min(cA, cB)) reduces to one O(nv) scan over
-// dimAB: for a fixed dimAB every remaining condition is a lower bound on
-// dimA or dimB (conditions I and II are monotone in the slack) or an
-// interval constraint on their sum, so feasibility per dimAB is a
-// nonempty-box test.
+// intersection count son. The scalar reference (compatible, in the
+// tests) scans every admissible (dimA, dimB, dimAB) triple; here the
+// disjoint, identical and nested cases collapse to constant-time checks,
+// and the genuinely ambiguous case (0 < son < min(cA, cB)) reduces to one
+// O(nv) scan over dimAB: for a fixed dimAB every remaining condition is a
+// lower bound on dimA or dimB (conditions I and II are monotone in the
+// slack) or an interval constraint on their sum, so feasibility per dimAB
+// is a nonempty-box test.
 //
 //picola:hot
 func (e *encoder) compatibleSet(a, b *tracked, son int) bool {
@@ -1576,78 +1520,6 @@ func (e *encoder) compatibleSet(a, b *tracked, son int) bool {
 		hi := min(dAHi+dBHi, dS+nv)
 		if lo <= hi {
 			return true
-		}
-	}
-	return false
-}
-
-// compatible implements the nv-compatibility check of §3.3.1 between a
-// satisfied constraint a and a candidate b: does any admissible triple of
-// cube dimensions (dimA, dimB, dimAB) satisfy the Boolean-algebra
-// conditions and dim(super(A,B)) = dimA + dimB − dimAB ≤ nv?
-func (e *encoder) compatible(a, b *tracked) bool {
-	nv := e.nv
-	cA, cB := a.members.Count(), b.members.Count()
-	son := a.members.IntersectCount(b.members)
-	dALo, dAHi := minDim(cA), nv-len(a.agreeCols)
-	dBLo, dBHi := minDim(cB), nv-len(b.agreeCols)
-	if dALo > dAHi || dBLo > dBHi {
-		return false
-	}
-	if son == 0 {
-		// Disjoint constraints need disjoint cubes: total capacity and
-		// total slack must fit (a necessary condition; paper §3.3.1.b).
-		total := 1 << uint(nv)
-		if 1<<uint(dALo)+1<<uint(dBLo) > total {
-			return false
-		}
-		slack := total - e.n
-		if (1<<uint(dALo)-cA)+(1<<uint(dBLo)-cB) > slack {
-			return false
-		}
-		return true
-	}
-	dSLo := minDim(son)
-	union := cA + cB - son
-	for dA := dALo; dA <= dAHi; dA++ {
-		if 1<<uint(dA) < cA {
-			continue
-		}
-		for dB := dBLo; dB <= dBHi; dB++ {
-			if 1<<uint(dB) < cB {
-				continue
-			}
-			for dS := dSLo; dS <= dA && dS <= dB; dS++ {
-				// Conditions I: a proper son needs a strictly smaller cube;
-				// an equal son the same cube.
-				if son < cA && dS >= dA {
-					continue
-				}
-				if son == cA && dS != dA {
-					continue
-				}
-				if son < cB && dS >= dB {
-					continue
-				}
-				if son == cB && dS != dB {
-					continue
-				}
-				// Conditions II: the son cube's slack fits in each father's.
-				if (1<<uint(dS))-son > (1<<uint(dA))-cA {
-					continue
-				}
-				if (1<<uint(dS))-son > (1<<uint(dB))-cB {
-					continue
-				}
-				dU := dA + dB - dS
-				if dU > nv {
-					continue
-				}
-				if 1<<uint(dU) < union {
-					continue
-				}
-				return true
-			}
 		}
 	}
 	return false
@@ -1734,268 +1606,6 @@ func (e *encoder) columnUniform(members face.Constraint, col int) (bool, int) {
 		return false, 0
 	}
 	return true, first
-}
-
-// solve generates code column j (the paper's Solve): all bits start at 1
-// and bits are flipped greedily — forced while some partial-code class
-// exceeds its capacity 2^(nv−j−1) on one side, then by steepest ascent on
-// the weighted sum of satisfied seed dichotomies (both flip directions,
-// strict improvement) until the column is a local optimum among valid
-// columns.
-func (e *encoder) solve(j int) (face.Constraint, error) {
-	e.unsat = e.unsat[:0]
-	for _, t := range e.rows {
-		var u []int
-		if !t.satisfied {
-			for s := 0; s < e.n; s++ {
-				if t.outsiders.Has(s) && t.mark[s] == 0 {
-					u = append(u, s)
-				}
-			}
-		}
-		e.unsat = append(e.unsat, u)
-	}
-	col := face.NewConstraint(e.n).Complement() // all ones
-	if e.startZero {
-		col = face.NewConstraint(e.n)
-	}
-	classCap := 1
-	if rem := e.nv - j - 1; rem < 63 {
-		classCap = 1 << uint(rem)
-	}
-	// Partial-code classes from columns 0..j-1.
-	prefix := make([]uint64, e.n)
-	mask := uint64(1)<<uint(j) - 1
-	for s := 0; s < e.n; s++ {
-		prefix[s] = e.enc.Codes[s] & mask
-	}
-	count := map[uint64][2]int{} // per prefix: symbols on side 0 / side 1
-	for s := 0; s < e.n; s++ {
-		c := count[prefix[s]]
-		if col.Has(s) {
-			c[1]++
-		} else {
-			c[0]++
-		}
-		count[prefix[s]] = c
-	}
-	cs := e.newColScorer(col)
-	base := cs.cost()
-	if colCostOracle != nil {
-		colCostOracle(e, col, base)
-	}
-	scans, applied := 1, 0
-	maxMoves := 6*e.n + 8
-	for move := 0; move < maxMoves; move++ {
-		if err := ctxutil.Check(e.runCtx(), "core.column_scan"); err != nil {
-			return face.Constraint{}, err
-		}
-		// Scan per symbol rather than over the count map: the predicate is
-		// order-insensitive, but deterministic iteration keeps the whole
-		// loop replayable instruction for instruction.
-		oversized := false
-		for s := 0; s < e.n; s++ {
-			c := count[prefix[s]]
-			if c[0] > classCap || c[1] > classCap {
-				oversized = true
-				break
-			}
-		}
-		bestS, bestGain := -1, 0.0
-		for s := 0; s < e.n; s++ {
-			from := 0
-			if col.Has(s) {
-				from = 1
-			}
-			to := 1 - from
-			c := count[prefix[s]]
-			if oversized && c[from] <= classCap {
-				continue // forced moves must relieve an oversized side
-			}
-			if c[to]+1 > classCap {
-				continue // would overfill the target side
-			}
-			cs.flip(s, from == 0)
-			cost := cs.cost()
-			scans++
-			if colCostOracle != nil {
-				flip(col, s)
-				colCostOracle(e, col, cost)
-				flip(col, s)
-			}
-			cs.flip(s, from == 1)
-			gain := cost - base
-			if bestS < 0 || gain > bestGain {
-				bestS, bestGain = s, gain
-			}
-		}
-		if bestS < 0 {
-			break // no admissible move (only possible when valid)
-		}
-		if !oversized && bestGain <= 0 {
-			break // local optimum among valid columns
-		}
-		from := 0
-		if col.Has(bestS) {
-			from = 1
-		}
-		flip(col, bestS)
-		cs.flip(bestS, from == 0)
-		c := count[prefix[bestS]]
-		c[from]--
-		c[1-from]++
-		count[prefix[bestS]] = c
-		base += bestGain
-		applied++
-	}
-	mColumnScans.Add(int64(scans))
-	e.lastMoves, e.lastCost = applied, base
-	return col, nil
-}
-
-func flip(col face.Constraint, s int) {
-	if col.Has(s) {
-		col.Remove(s)
-	} else {
-		col.Add(s)
-	}
-}
-
-// columnCost is the weighted sum of seed dichotomies the column would
-// newly satisfy. The weight of a dichotomy is its constraint's weight
-// (multiplicity × kind factor) divided by the number of its dichotomies
-// still unsatisfied, favoring constraints close to fulfillment — and,
-// through the guide rows, the economical implementation of infeasible
-// ones.
-// colCostOracle, when non-nil (tests only), receives every incremental
-// column cost next to the column it was computed for, so the parity test
-// can replay the generic columnCost and demand bit-identical floats.
-var colCostOracle func(e *encoder, col face.Constraint, got float64)
-
-// colScorer evaluates columnCost incrementally. Per active row it tracks
-// in = |members ∩ col| and u1 = |{s ∈ u : col(s) = 1}|; a candidate bit
-// flip touches only the rows of that symbol (memberRows/unsatRows), and
-// the cost is re-summed over all rows in row order with exactly the terms
-// columnCost uses — float-identical, O(1) per row instead of a bitset
-// intersection plus an unsatisfied-symbol scan.
-type colScorer struct {
-	e      *encoder
-	in, u1 []int
-	cnt    []int
-	// Reverse indexes over active rows (unsatisfied with a nonempty
-	// dichotomy list; the set is fixed for the duration of one solve).
-	memberRows [][]int
-	unsatRows  [][]int
-}
-
-// newColScorer builds the tracking state for the current column.
-func (e *encoder) newColScorer(col face.Constraint) *colScorer {
-	cs := &colScorer{
-		e:          e,
-		in:         make([]int, len(e.rows)),
-		u1:         make([]int, len(e.rows)),
-		cnt:        make([]int, len(e.rows)),
-		memberRows: make([][]int, e.n),
-		unsatRows:  make([][]int, e.n),
-	}
-	for ri, t := range e.rows {
-		u := e.unsat[ri]
-		if t.satisfied || len(u) == 0 {
-			continue
-		}
-		cs.cnt[ri] = t.members.Count()
-		cs.in[ri] = t.members.IntersectCount(col)
-		for s := 0; s < e.n; s++ {
-			if t.members.Has(s) {
-				cs.memberRows[s] = append(cs.memberRows[s], ri)
-			}
-		}
-		for _, s := range u {
-			cs.unsatRows[s] = append(cs.unsatRows[s], ri)
-			if col.Has(s) {
-				cs.u1[ri]++
-			}
-		}
-	}
-	return cs
-}
-
-// flip records that symbol s's column bit is now set (or now clear).
-func (cs *colScorer) flip(s int, nowSet bool) {
-	d := 1
-	if !nowSet {
-		d = -1
-	}
-	for _, ri := range cs.memberRows[s] {
-		cs.in[ri] += d
-	}
-	for _, ri := range cs.unsatRows[s] {
-		cs.u1[ri] += d
-	}
-}
-
-// cost is columnCost over the tracked counters: same rows, same order,
-// same float expression per row.
-func (cs *colScorer) cost() float64 {
-	total := 0.0
-	for ri, t := range cs.e.rows {
-		u := cs.e.unsat[ri]
-		if t.satisfied || len(u) == 0 {
-			continue
-		}
-		var bit int
-		switch cs.in[ri] {
-		case 0:
-			bit = 0
-		case cs.cnt[ri]:
-			bit = 1
-		default:
-			continue // members not uniform: no dichotomy satisfied
-		}
-		newly := cs.u1[ri]
-		if bit == 1 {
-			newly = len(u) - cs.u1[ri]
-		}
-		if newly > 0 {
-			total += t.weight * float64(newly) / float64(len(u))
-		}
-	}
-	return total
-}
-
-func (e *encoder) columnCost(col face.Constraint) float64 {
-	total := 0.0
-	for ri, t := range e.rows {
-		u := e.unsat[ri]
-		if t.satisfied || len(u) == 0 {
-			continue
-		}
-		in := t.members.IntersectCount(col)
-		cnt := t.members.Count()
-		var bit int
-		switch in {
-		case 0:
-			bit = 0
-		case cnt:
-			bit = 1
-		default:
-			continue // members not uniform: no dichotomy satisfied
-		}
-		newly := 0
-		for _, s := range u {
-			sBit := 0
-			if col.Has(s) {
-				sBit = 1
-			}
-			if sBit != bit {
-				newly++
-			}
-		}
-		if newly > 0 {
-			total += t.weight * float64(newly) / float64(len(u))
-		}
-	}
-	return total
 }
 
 // apply writes the column into the encoding and updates every row's

@@ -74,6 +74,18 @@ func (c Constraint) Members() []int {
 	return out
 }
 
+// AppendMembers appends the member indices to dst in ascending order and
+// returns the extended slice: Members without the allocation when dst has
+// room.
+func (c Constraint) AppendMembers(dst []int) []int {
+	for wi, w := range c.words {
+		for ; w != 0; w &= w - 1 {
+			dst = append(dst, wi*64+bits.TrailingZeros64(w))
+		}
+	}
+	return dst
+}
+
 // Clone returns an independent copy.
 func (c Constraint) Clone() Constraint {
 	return Constraint{words: append([]uint64(nil), c.words...), n: c.n}

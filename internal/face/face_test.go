@@ -55,6 +55,10 @@ func TestConstraintLargeUniverse(t *testing.T) {
 	if got := c.Complement().Count(); got != 126 {
 		t.Fatalf("Complement = %d", got)
 	}
+	got := c.AppendMembers([]int{-1})
+	if len(got) != 5 || got[0] != -1 || got[1] != 0 || got[2] != 63 || got[3] != 64 || got[4] != 129 {
+		t.Fatalf("AppendMembers = %v", got)
+	}
 }
 
 func TestProblemMinLength(t *testing.T) {
