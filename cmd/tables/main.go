@@ -47,6 +47,7 @@ import (
 	"picola/internal/ctxutil"
 	"picola/internal/eval"
 	"picola/internal/face"
+	"picola/internal/kiss"
 	"picola/internal/obs"
 	"picola/internal/obs/obshttp"
 	"picola/internal/par"
@@ -189,6 +190,22 @@ func writeSnapshot(path string, snap *benchSnapshot) error {
 	return os.WriteFile(path, b, 0o644)
 }
 
+// tExtract times every symbolic extraction a table runs, so -metrics and
+// the -ledger timers show the stage.
+var tExtract = obs.Default.Timer("tables.stage.extract")
+
+// extract runs symbolic.ExtractConstraints on m as the extract stage: its
+// wall goes to tExtract and, when tracing, to an "extract" span (the
+// ledger's stage row).
+func extract(m *kiss.FSM) (*face.Problem, error) {
+	t0 := time.Now()
+	prob, _, err := symbolic.ExtractConstraints(m)
+	d := time.Since(t0)
+	tExtract.Observe(d)
+	obs.Emit(tracer, obs.Event{Kind: obs.KindSpan, Stage: "extract", Name: m.Name, DurMS: obs.MS(d)})
+	return prob, err
+}
+
 type table1Row struct {
 	name                string
 	constraints         int
@@ -200,7 +217,7 @@ type table1Row struct {
 
 func table1Compute(spec benchgen.Spec, seed int64, encBudget int) (*table1Row, error) {
 	m := benchgen.Generate(spec)
-	prob, _, err := symbolic.ExtractConstraints(m)
+	prob, err := extract(m)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", spec.Name, err)
 	}
@@ -369,7 +386,7 @@ func table2Compute(spec benchgen.Spec, seed int64) (*table2Row, error) {
 			return nil, fmt.Errorf("%s %s: %w", spec.Name, encoders[k], err)
 		}
 		if checkEnabled {
-			prob, _, err := symbolic.ExtractConstraints(m)
+			prob, err := extract(m)
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", spec.Name, err)
 			}
@@ -480,7 +497,7 @@ func table3(only string) error {
 			return fmt.Errorf("unknown benchmark %q", name)
 		}
 		m := benchgen.Generate(spec)
-		prob, _, err := symbolic.ExtractConstraints(m)
+		prob, err := extract(m)
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"picola/internal/benchgen"
+	"picola/internal/obs"
 )
 
 // TestDiffExitCodes pins the -diff exit-code contract: 0 when the
@@ -108,4 +109,42 @@ func TestForEachCancelMidSweep(t *testing.T) {
 	if ran != 1 {
 		t.Fatalf("ran %d rows after cancelling on the first, want 1", ran)
 	}
+}
+
+// TestExtractIsAStage: every extraction a table runs advances the
+// tables.stage.extract timer and, when tracing, lands in the ledger as an
+// "extract" stage of one span per machine.
+func TestExtractIsAStage(t *testing.T) {
+	spec, ok := benchgen.ByName("bbara")
+	if !ok {
+		t.Fatal("bbara missing from the suite")
+	}
+	led := obs.NewRunLedger("tables", obs.Default)
+	saved := tracer
+	tracer = led
+	defer func() { tracer = saved }()
+	n0 := tExtract.Count()
+	prob, err := extract(benchgen.Generate(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(prob.Constraints) == 0 {
+		t.Fatal("bbara extracted no constraints")
+	}
+	if n := tExtract.Count() - n0; n != 1 {
+		t.Fatalf("tables.stage.extract advanced by %d, want 1", n)
+	}
+	rec := led.Finalize()
+	if _, ok := rec.Timers["tables.stage.extract"]; !ok {
+		t.Fatal("ledger timers miss tables.stage.extract")
+	}
+	for _, st := range rec.Stages {
+		if st.Stage == "extract" {
+			if st.Spans != 1 || st.CumNS <= 0 {
+				t.Fatalf("extract stage: %d spans, %d ns", st.Spans, st.CumNS)
+			}
+			return
+		}
+	}
+	t.Fatalf("ledger has no extract stage: %+v", rec.Stages)
 }

@@ -116,12 +116,29 @@ func (f *Cover) SCC() {
 }
 
 // Cofactor returns the cofactor of the cover with respect to cube p: each
-// cube that intersects p, cofactored by p. The result is a fresh cover.
+// cube that intersects p, cofactored by p. The result is a fresh cover
+// whose cubes share one slab sized to the cubes kept.
 func (f *Cover) Cofactor(p cube.Cube) *Cover {
 	d := f.D
 	g := New(d)
+	n := 0
 	for _, c := range f.Cubes {
-		out := d.NewCube()
+		if d.Intersects(c, p) {
+			n++
+		}
+	}
+	if n == 0 {
+		return g
+	}
+	k := d.Words()
+	slab := make([]uint64, n*k)
+	g.Cubes = make([]cube.Cube, 0, n)
+	for _, c := range f.Cubes {
+		if len(g.Cubes) == n {
+			break
+		}
+		i := len(g.Cubes) * k
+		out := cube.Cube(slab[i : i+k : i+k])
 		if d.Cofactor(out, c, p) {
 			g.Cubes = append(g.Cubes, out)
 		}
@@ -149,48 +166,14 @@ func (f *Cover) activeVar() int {
 	return best
 }
 
-// Tautology reports whether the cover covers the entire space. On
-// single-word domains it runs the pooled uint64 kernel (see kernel.go); the
-// body below is the generic reference path, reachable for any domain via
-// Domain.Generic.
+// Tautology reports whether the cover covers the entire space. It runs the
+// single-word kernel on single-word domains and the word-parallel kernel
+// on every other (see kernel.go).
 func (f *Cover) Tautology() bool {
 	if f.D.SingleWord() {
 		return f.tautology1()
 	}
-	mTautologyNodes.Inc()
-	d := f.D
-	// Quick accept: a universal cube.
-	for _, c := range f.Cubes {
-		if d.FullParts(c) == d.NumVars() {
-			return true
-		}
-	}
-	if len(f.Cubes) == 0 {
-		return false
-	}
-	// Quick reject: some value appears in no cube.
-	or := d.NewCube()
-	for _, c := range f.Cubes {
-		d.Supercube(or, or, c)
-	}
-	for v := 0; v < d.NumVars(); v++ {
-		if !d.PartFull(or, v) {
-			return false
-		}
-	}
-	v := f.activeVar()
-	if v < 0 {
-		// No active variable and no universal cube can only happen with an
-		// empty cover, handled above; every remaining cube is universal.
-		return true
-	}
-	for val := 0; val < d.Size(v); val++ {
-		vc := d.ValueCube(v, val)
-		if !f.Cofactor(vc).Tautology() {
-			return false
-		}
-	}
-	return true
+	return f.tautologyW()
 }
 
 // Complement returns a cover of the complement of f (the minterms covered
@@ -304,7 +287,7 @@ func (f *Cover) CoversCube(c cube.Cube) bool {
 	if f.D.SingleWord() {
 		return f.coversCube1(c)
 	}
-	return f.Cofactor(c).Tautology()
+	return f.coversCubeW(c)
 }
 
 // Covers reports whether f covers every cube of g.

@@ -258,3 +258,35 @@ func TestWithout(t *testing.T) {
 		t.Fatal("Without must not mutate the receiver")
 	}
 }
+
+// TestCofactorAllocatesKeptOnly: Cofactor allocates the result cover, its
+// cube slice and one slab for the kept cubes — nothing per dropped cube.
+func TestCofactorAllocatesKeptOnly(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; the alloc gate runs in the plain build")
+	}
+	for _, d := range []*cube.Domain{cube.Binary(4), cube.New(append(repeatSizes(2, 27), 121, 177)...)} {
+		f := New(d)
+		for i := 0; i < 40; i++ {
+			c := d.Universe()
+			d.Restrict(c, 0, i%2)
+			d.Restrict(c, 1, i/2%2)
+			f.Add(c)
+		}
+		p := d.Universe()
+		d.Restrict(p, 0, 0)
+		d.Restrict(p, 1, 0)
+		g := f.Cofactor(p)
+		if g.Len() != 10 {
+			t.Fatalf("%d-word domain: kept %d cubes, want 10", d.Words(), g.Len())
+		}
+		for _, c := range g.Cubes {
+			if !d.PartFull(c, 0) || !d.PartFull(c, 1) {
+				t.Fatalf("cofactor cube %s not widened by ¬p", d.String(c))
+			}
+		}
+		if allocs := testing.AllocsPerRun(50, func() { f.Cofactor(p) }); allocs != 3 {
+			t.Errorf("%d-word domain: Cofactor allocates %.0f objects, want 3", d.Words(), allocs)
+		}
+	}
+}

@@ -30,9 +30,9 @@ func randCover(rng *rand.Rand, d *cube.Domain, maxCubes int) *Cover {
 }
 
 // TestTautologyKernelMatchesGeneric cross-checks the single-word tautology
-// kernel against the generic recursion — results must match and, because
-// the kernel mirrors the generic decision structure, so must the
-// tautology_nodes metric increments.
+// kernel against the generic recursion (tautologyRef over the Generic
+// view) — results must match and, because the kernel mirrors the generic
+// decision structure, so must the tautology_nodes metric increments.
 func TestTautologyKernelMatchesGeneric(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for iter := 0; iter < 500; iter++ {
@@ -53,7 +53,7 @@ func TestTautologyKernelMatchesGeneric(t *testing.T) {
 		kNodes := mTautologyNodes.Value() - n0
 
 		n0 = mTautologyNodes.Value()
-		gt := fg.Tautology()
+		gt := tautologyRef(fg)
 		gNodes := mTautologyNodes.Value() - n0
 
 		if kt != gt {
@@ -70,7 +70,7 @@ func TestTautologyKernelMatchesGeneric(t *testing.T) {
 			kNodes = mTautologyNodes.Value() - n0
 
 			n0 = mTautologyNodes.Value()
-			gc := fg.CoversCube(c.Cubes[0])
+			gc := coversCubeRef(fg, c.Cubes[0])
 			gNodes = mTautologyNodes.Value() - n0
 
 			if kc != gc {

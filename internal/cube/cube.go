@@ -88,6 +88,30 @@ type Domain struct {
 	w3     bool
 	vmask3 [][3]uint64 // per-variable field masks over words 0..2
 	full3  [3]uint64   // universe words
+
+	layout Layout // flat word masks for row kernels; kept by Generic views
+}
+
+// Layout is a domain's fields as flat word masks over all of its words,
+// for kernels that keep cubes as rows of Words() words in one arena (the
+// word-parallel tautology kernel in internal/cover). It is the
+// construction of the two- and three-word masks generalised to any word
+// count, built once in New for every domain. Generic views share it: it
+// is data, not a kernel tier. Callers must not modify it.
+type Layout struct {
+	K    int      // words per row: Domain.Words
+	Full []uint64 // the universe, K words
+	// Mask holds every variable's field mask over all K words: variable
+	// v's is Mask[v*K : (v+1)*K], non-zero only in words Lo[v]..Hi[v].
+	Mask   []uint64
+	Lo, Hi []int
+	// Pair holds, per word, the low bit of every binary field lying
+	// wholly inside that word, so one expression tests all of them:
+	// such a field of x is non-empty iff its bit is set in x|x>>1.
+	Pair []uint64
+	// Rest lists the variables Pair does not cover: multi-valued and
+	// one-valued fields, and binary fields straddling a word boundary.
+	Rest []int
 }
 
 // New creates a domain with the given number of values per variable.
@@ -144,8 +168,33 @@ func New(sizes ...int) *Domain {
 			}
 		}
 	}
+	k := d.nwords
+	l := &d.layout
+	l.K = k
+	l.Full = make([]uint64, k)
+	l.Mask = make([]uint64, len(sizes)*k)
+	l.Lo = make([]int, len(sizes))
+	l.Hi = make([]int, len(sizes))
+	l.Pair = make([]uint64, k)
+	for v := range sizes {
+		sp := d.spans[v]
+		for _, s := range sp {
+			l.Mask[v*k+s.word] = s.mask
+			l.Full[s.word] |= s.mask
+		}
+		l.Lo[v], l.Hi[v] = sp[0].word, sp[len(sp)-1].word
+		if off := d.offs[v]; sizes[v] == 2 && off%64 != 63 {
+			l.Pair[off/64] |= 1 << (off % 64)
+		} else {
+			l.Rest = append(l.Rest, v)
+		}
+	}
 	return d
 }
+
+// Layout returns the domain's flat word-mask layout. It is shared and
+// must not be modified.
+func (d *Domain) Layout() *Layout { return &d.layout }
 
 // SingleWord reports whether the domain's cubes fit in one uint64 word and
 // the word-level kernels are selected.

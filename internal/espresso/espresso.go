@@ -478,8 +478,10 @@ func wasConflict(d *cube.Domain, c, o cube.Cube, v, bit int) bool {
 
 // varDisjoint reports whether cubes a and b share no value of variable v.
 func varDisjoint(d *cube.Domain, a, b cube.Cube, v int) bool {
-	for val := 0; val < d.Size(v); val++ {
-		if d.Has(a, v, val) && d.Has(b, v, val) {
+	l := d.Layout()
+	m := l.Mask[v*l.K:]
+	for w := l.Lo[v]; w <= l.Hi[v]; w++ {
+		if a[w]&b[w]&m[w] != 0 {
 			return false
 		}
 	}

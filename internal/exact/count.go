@@ -61,7 +61,9 @@ func (ct *Counter) CountContext(ctx context.Context, f *espresso.Function, input
 	mMinimize.Inc()
 	t0 := time.Now()
 	n, err := ct.count(f, inputs)
-	tMinimize.Observe(time.Since(t0))
+	d := time.Since(t0)
+	tMinimize.Observe(d)
+	hMinimize.Observe(int64(d))
 	return n, err
 }
 

@@ -7,6 +7,7 @@ import (
 	"picola/internal/cover"
 	"picola/internal/cube"
 	"picola/internal/espresso"
+	"picola/internal/obs"
 )
 
 // randFunc builds a random fr-form function (ON + OFF from a random
@@ -124,5 +125,35 @@ func TestCounterValidation(t *testing.T) {
 	}
 	if _, err := ct.Count(&espresso.Function{D: d, On: on}, 5); err == nil {
 		t.Fatal("inputs beyond the domain must error")
+	}
+}
+
+// TestCounterRecordsAllMetrics: Count advances the espresso.exact_minimize
+// counter, its .time timer and its _ns latency histogram together, once
+// per call, as Minimize does.
+func TestCounterRecordsAllMetrics(t *testing.T) {
+	read := func() (calls, timed, observed int64) {
+		s := obs.Default.Snapshot()
+		return s.Counters["espresso.exact_minimize"],
+			s.Timers["espresso.exact_minimize.time"].Count,
+			s.Histograms["espresso.exact_minimize_ns"].Count
+	}
+	var ct Counter
+	f := randFunc(rand.New(rand.NewSource(1)), 4, 2)
+	for _, count := range []func() error{
+		func() error { _, err := ct.Count(f, 4); return err },
+		func() error { _, err := Minimize(f, 4); return err },
+	} {
+		c0, t0, h0 := read()
+		const calls = 3
+		for i := 0; i < calls; i++ {
+			if err := count(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c1, t1, h1 := read()
+		if c1-c0 != calls || t1-t0 != calls || h1-h0 != calls {
+			t.Fatalf("%d calls advanced counter %d, timer %d, histogram %d", calls, c1-c0, t1-t0, h1-h0)
+		}
 	}
 }
