@@ -90,6 +90,10 @@ func (s *Solver) buildColRows(rowCols [][]int, ncols int) {
 	}
 }
 
+// Nodes returns the search nodes the last Solve visited, budget-cut
+// visits included.
+func (s *Solver) Nodes() int { return s.nodes }
+
 // rowsOf returns column c's rows.
 func (s *Solver) rowsOf(c int) []int { return s.colRows[s.colOff[c]:s.colOff[c+1]] }
 

@@ -83,6 +83,25 @@ func TestAllocsWiderCodeSpace(t *testing.T) {
 	}
 }
 
+// TestAllocsDenseCodeSpace: code spaces beyond exact.TTMaxInputs take the
+// slab build and the dense counter, which must be allocation-free too.
+func TestAllocsDenseCodeSpace(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; the alloc gate runs in the plain build")
+	}
+	e := testEncoding(100, 7)
+	c := face.FromMembers(100, 0, 3, 7, 11, 19, 42, 77)
+	score := func() {
+		if _, err := ConstraintCubes(e, c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	score()
+	if allocs := testing.AllocsPerRun(100, score); allocs != 0 {
+		t.Fatalf("7-bit exact scoring allocates %.1f objects/run, want 0", allocs)
+	}
+}
+
 // TestPooledScoringUnderContention hammers the pooled exact path from
 // GOMAXPROCS×2 goroutines and checks every result against the unpooled
 // reference (ConstraintFunction + exact.Minimize). Run under -race, this

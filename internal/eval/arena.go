@@ -62,11 +62,26 @@ func (s *scorer) build(e *face.Encoding, c face.Constraint) *cube.Domain {
 	return d
 }
 
-// exactCount scores one constraint with the pooled exact path: the slab
-// build above fed to the count-only mirror of exact.Minimize.
+// exactCount scores one constraint with the pooled exact path, the
+// count-only mirror of exact.Minimize. Code spaces of up to
+// exact.TTMaxInputs bits go to the truth-table counter as ON and OFF
+// masks read straight off the codes; wider ones take the slab build
+// above.
 //
 //picola:hot
 func (s *scorer) exactCount(ctx context.Context, e *face.Encoding, c face.Constraint) (int, error) {
+	if e.NV <= exact.TTMaxInputs {
+		mask := uint64(1)<<uint(e.NV) - 1
+		var on, off uint64
+		for sym, code := range e.Codes {
+			if c.Has(sym) {
+				on |= 1 << (code & mask)
+			} else {
+				off |= 1 << (code & mask)
+			}
+		}
+		return s.counter.CountTT(ctx, e.NV, on, off)
+	}
 	d := s.build(e, c)
 	s.fn = espresso.Function{D: d, On: &s.on, Off: &s.off}
 	return s.counter.CountContext(ctx, &s.fn, e.NV)

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"picola/internal/exact"
 	"picola/internal/face"
 )
 
@@ -187,6 +188,44 @@ func TestSatisfiedIffOneCube(t *testing.T) {
 		}
 		if e.Satisfied(c) != (k == 1) {
 			t.Fatalf("satisfied=%v but cubes=%d (n=%d nv=%d)", e.Satisfied(c), k, n, nv)
+		}
+	}
+}
+
+// TestNonInjectiveParity pins what the exact path does with encodings
+// that give two symbols one code. A code that is both ON (a member's) and
+// OFF (a non-member's) is rejected with the minimizer's overlap error,
+// naming the lowest such code, identically through every entry point, on
+// the truth-table width and on the dense one; a shared code on one side
+// of the split is an ordinary minterm.
+func TestNonInjectiveParity(t *testing.T) {
+	for _, nv := range []int{3, 7} {
+		e := face.NewEncoding(6, nv)
+		copy(e.Codes, []uint64{5, 5, 3, 3, 0, 6})
+		overlap := face.FromMembers(6, 0, 2, 4) // codes 5 and 3 both sides
+		want := "exact: ON and OFF overlap at minterm 3"
+		_, err1 := ConstraintCubes(e, overlap)
+		_, err2 := NewCache().ConstraintCubes(e, overlap)
+		_, err3 := Evaluate(&face.Problem{Constraints: []face.Constraint{overlap}}, e)
+		for i, err := range []error{err1, err2, err3} {
+			if err == nil || err.Error() != want {
+				t.Fatalf("nv=%d: entry point %d returned %v, want %q", nv, i, err, want)
+			}
+		}
+
+		shared := face.FromMembers(6, 0, 1, 4) // code 5 on the ON side only
+		min, err := exact.Minimize(ConstraintFunction(e, shared), nv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k1, err1 := ConstraintCubes(e, shared)
+		k2, err2 := NewCache().ConstraintCubes(e, shared)
+		cost, err3 := Evaluate(&face.Problem{Constraints: []face.Constraint{shared}}, e)
+		if err1 != nil || err2 != nil || err3 != nil {
+			t.Fatalf("nv=%d: %v %v %v", nv, err1, err2, err3)
+		}
+		if k1 != min.Len() || k2 != min.Len() || cost.Total != min.Len() {
+			t.Fatalf("nv=%d: counts %d %d %d, Minimize %d", nv, k1, k2, cost.Total, min.Len())
 		}
 	}
 }

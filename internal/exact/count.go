@@ -22,8 +22,11 @@ const denseMax = 8
 // classification, Quine–McCluskey prime generation, row construction,
 // branch-and-bound covering — mirrors Minimize decision-for-decision, so
 // the count agrees even when the covering search exhausts its node budget
-// (where the result depends on visit order). Minimize remains the
-// reference implementation; the parity is enforced by tests.
+// (where the result depends on visit order). Single-output functions of
+// up to TTMaxInputs inputs take the one-word truth-table path (tt.go),
+// which finds the same primes in the same order and searches them node
+// for node as the dense path does. Minimize remains the reference
+// implementation; the parity is enforced by tests.
 //
 // A Counter is not safe for concurrent use; pool instances across
 // goroutines.
@@ -43,6 +46,16 @@ type Counter struct {
 	flat       []int
 
 	solver covering.Solver
+
+	// Truth-table path (single output, inputs ≤ TTMaxInputs): valid and
+	// prime cube bases per dash set, and the primes' ON-minterm columns.
+	valid, ttPrime [1 << TTMaxInputs]uint64
+	ttCols         []uint64
+	solver64       covering.Solver64
+
+	// maxNodes is the covering node budget; 0 is the solvers' default.
+	// Tests lower it to drive both paths into budget exhaustion.
+	maxNodes int
 }
 
 // Count returns the minimum cover cardinality of f, exactly as
@@ -61,10 +74,16 @@ func (ct *Counter) CountContext(ctx context.Context, f *espresso.Function, input
 	mMinimize.Inc()
 	t0 := time.Now()
 	n, err := ct.count(f, inputs)
+	observe(t0)
+	return n, err
+}
+
+// observe records one exact minimization that started at t0 on the
+// espresso.exact_minimize timer and latency histogram.
+func observe(t0 time.Time) {
 	d := time.Since(t0)
 	tMinimize.Observe(d)
 	hMinimize.Observe(int64(d))
-	return n, err
 }
 
 //picola:hot
@@ -95,6 +114,23 @@ func (ct *Counter) count(f *espresso.Function, inputs int) (int, error) {
 	if err := ct.classify(f, inputs, outVar, no, nm); err != nil {
 		return 0, err
 	}
+	if no == 1 && inputs <= TTMaxInputs {
+		var on, care uint64
+		for x := 0; x < nm; x++ {
+			on |= ct.on[x] << uint(x)
+			care |= (ct.on[x] | ct.dc[x]) << uint(x)
+		}
+		return ct.countTT(inputs, on, care), nil
+	}
+	return ct.countDense(inputs, no, nm)
+}
+
+// countDense counts the function classify left in ct.on/ct.dc with the
+// dense Quine–McCluskey tag table and covering.Solver: the path for
+// multi-output functions and for inputs beyond TTMaxInputs.
+//
+//picola:hot
+func (ct *Counter) countDense(inputs, no, nm int) (int, error) {
 	ct.care = growU64(ct.care, nm)
 	anyOn := false
 	for x := 0; x < nm; x++ {
@@ -144,7 +180,7 @@ func (ct *Counter) count(f *espresso.Function, inputs int) (int, error) {
 		}
 		ct.rowCols[ri] = ct.flat[lo:len(ct.flat):len(ct.flat)]
 	}
-	return len(ct.solver.Solve(ct.rowCols, len(ct.primes))), nil
+	return len(ct.solver.Solve(ct.rowCols, len(ct.primes), covering.Options{MaxNodes: ct.maxNodes})), nil
 }
 
 // classify fills ct.on/ct.dc/ct.off with per-minterm output tags, exactly

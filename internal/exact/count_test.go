@@ -1,6 +1,7 @@
 package exact
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -128,9 +129,9 @@ func TestCounterValidation(t *testing.T) {
 	}
 }
 
-// TestCounterRecordsAllMetrics: Count advances the espresso.exact_minimize
-// counter, its .time timer and its _ns latency histogram together, once
-// per call, as Minimize does.
+// TestCounterRecordsAllMetrics: Count and CountTT advance the
+// espresso.exact_minimize counter, its .time timer and its _ns latency
+// histogram together, once per call, as Minimize does.
 func TestCounterRecordsAllMetrics(t *testing.T) {
 	read := func() (calls, timed, observed int64) {
 		s := obs.Default.Snapshot()
@@ -143,6 +144,7 @@ func TestCounterRecordsAllMetrics(t *testing.T) {
 	for _, count := range []func() error{
 		func() error { _, err := ct.Count(f, 4); return err },
 		func() error { _, err := Minimize(f, 4); return err },
+		func() error { _, err := ct.CountTT(context.Background(), 4, 0b1011, 0b0100); return err },
 	} {
 		c0, t0, h0 := read()
 		const calls = 3

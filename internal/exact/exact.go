@@ -63,12 +63,7 @@ func MinimizeContext(ctx context.Context, f *espresso.Function, inputs int) (*co
 		return nil, err
 	}
 	mMinimize.Inc()
-	t0 := time.Now()
-	defer func() {
-		d := time.Since(t0)
-		tMinimize.Observe(d)
-		hMinimize.Observe(int64(d))
-	}()
+	defer observe(time.Now())
 	d := f.D
 	if inputs < 0 || inputs > d.NumVars() || d.NumVars()-inputs > 1 {
 		return nil, fmt.Errorf("exact: domain must be inputs plus at most one output variable")

@@ -177,19 +177,23 @@ func openOut(path string) (*os.File, bool, error) {
 	return f, err == nil, err
 }
 
-// StageSummary writes a human-readable table of every timer in m, sorted
-// by name — the -v per-stage wall-clock summary of the commands.
+// StageSummary writes a human-readable table of every timer in m that
+// recorded at least one interval, sorted by name — the -v per-stage
+// wall-clock summary of the commands. Timers registered but never
+// observed are left out.
 func StageSummary(w io.Writer, m *Metrics) {
 	s := m.Snapshot()
 	bw := bufio.NewWriter(w)
-	if len(s.Timers) == 0 {
+	names := make([]string, 0, len(s.Timers))
+	for k, t := range s.Timers {
+		if t.Count > 0 {
+			names = append(names, k)
+		}
+	}
+	if len(names) == 0 {
 		fmt.Fprintln(bw, "no stage timings recorded")
 		_ = bw.Flush() // best-effort diagnostic output
 		return
-	}
-	names := make([]string, 0, len(s.Timers))
-	for k := range s.Timers {
-		names = append(names, k)
 	}
 	sort.Strings(names)
 	fmt.Fprintf(bw, "%-28s %8s %14s %14s\n", "stage", "count", "total", "mean")

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -106,5 +107,24 @@ func TestReset(t *testing.T) {
 	c.Inc()
 	if m.Snapshot().Counters["c"] != 1 {
 		t.Fatal("cached counter detached from registry after Reset")
+	}
+}
+
+// TestStageSummarySkipsIdleTimers: -v lists only timers that recorded an
+// interval, and says so when none did.
+func TestStageSummarySkipsIdleTimers(t *testing.T) {
+	m := NewMetrics()
+	m.Timer("idle")
+	var buf bytes.Buffer
+	StageSummary(&buf, m)
+	if got := buf.String(); got != "no stage timings recorded\n" {
+		t.Fatalf("only idle timers: got %q", got)
+	}
+	m.Timer("busy").Observe(time.Millisecond)
+	buf.Reset()
+	StageSummary(&buf, m)
+	out := buf.String()
+	if !strings.Contains(out, "busy") || strings.Contains(out, "idle") {
+		t.Fatalf("summary must list busy and skip idle:\n%s", out)
 	}
 }
