@@ -190,19 +190,27 @@ func writeSnapshot(path string, snap *benchSnapshot) error {
 	return os.WriteFile(path, b, 0o644)
 }
 
-// tExtract times every symbolic extraction a table runs, so -metrics and
-// the -ledger timers show the stage.
-var tExtract = obs.Default.Timer("tables.stage.extract")
+// Stage timers: every symbolic extraction a table runs, and Table I's
+// NOVA and ENC encodes, so -metrics and the -ledger timers show them.
+var (
+	tExtract = obs.Default.Timer("tables.stage.extract")
+	tNova    = obs.Default.Timer("tables.stage.nova")
+	tEnc     = obs.Default.Timer("tables.stage.enc")
+)
 
-// extract runs symbolic.ExtractConstraints on m as the extract stage: its
-// wall goes to tExtract and, when tracing, to an "extract" span (the
-// ledger's stage row).
+// stage records d, the wall of one machine's run of a stage, on the
+// stage's timer and, when tracing, as a span of that stage (the ledger's
+// stage row).
+func stage(t *obs.Timer, name, machine string, d time.Duration) {
+	t.Observe(d)
+	obs.Emit(tracer, obs.Event{Kind: obs.KindSpan, Stage: name, Name: machine, DurMS: obs.MS(d)})
+}
+
+// extract runs symbolic.ExtractConstraints on m as the extract stage.
 func extract(m *kiss.FSM) (*face.Problem, error) {
 	t0 := time.Now()
 	prob, _, err := symbolic.ExtractConstraints(m)
-	d := time.Since(t0)
-	tExtract.Observe(d)
-	obs.Emit(tracer, obs.Event{Kind: obs.KindSpan, Stage: "extract", Name: m.Name, DurMS: obs.MS(d)})
+	stage(tExtract, "extract", m.Name, time.Since(t0))
 	return prob, err
 }
 
@@ -237,6 +245,7 @@ func table1Compute(spec benchgen.Spec, seed int64, encBudget int) (*table1Row, e
 				return z, fmt.Errorf("%s nova: %w", spec.Name, err)
 			}
 			row.tNova = time.Since(t0)
+			stage(tNova, "nova", spec.Name, row.tNova)
 			if err := checkEncoded(spec.Name, "nova", prob, novaEnc, func(q *face.Problem) (*face.Encoding, error) {
 				return nova.Encode(q, nova.Options{Variant: nova.IHybrid, Seed: seed})
 			}); err != nil {
@@ -255,6 +264,7 @@ func table1Compute(spec benchgen.Spec, seed int64, encBudget int) (*table1Row, e
 				return z, fmt.Errorf("%s enc: %w", spec.Name, err)
 			}
 			row.tEnc = time.Since(t0)
+			stage(tEnc, "enc", spec.Name, row.tEnc)
 			if err := checkEncoded(spec.Name, "enc", prob, encRes.Encoding, func(q *face.Problem) (*face.Encoding, error) {
 				r, err := enc.Encode(q, enc.Options{Seed: seed, Budget: encBudget, Workers: jWorkers, Cache: memo})
 				if err != nil {

@@ -148,3 +148,39 @@ func TestExtractIsAStage(t *testing.T) {
 	}
 	t.Fatalf("ledger has no extract stage: %+v", rec.Stages)
 }
+
+// TestBaselinesAreStages: a Table I row times its NOVA and ENC encodes as
+// the nova and enc stages — one span each in the ledger and one
+// observation on each stage timer — next to extract.
+func TestBaselinesAreStages(t *testing.T) {
+	spec, ok := benchgen.ByName("bbara")
+	if !ok {
+		t.Fatal("bbara missing from the suite")
+	}
+	led := obs.NewRunLedger("tables", obs.Default)
+	saved := tracer
+	tracer = led
+	defer func() { tracer = saved }()
+	n0, e0 := tNova.Count(), tEnc.Count()
+	if _, err := table1Compute(spec, 1, 40000); err != nil {
+		t.Fatal(err)
+	}
+	if dn, de := tNova.Count()-n0, tEnc.Count()-e0; dn != 1 || de != 1 {
+		t.Fatalf("stage timers advanced nova %d, enc %d; want 1 each", dn, de)
+	}
+	rec := led.Finalize()
+	spans := map[string]int64{}
+	for _, st := range rec.Stages {
+		if st.CumNS > 0 {
+			spans[st.Stage] = st.Spans
+		}
+	}
+	for _, name := range []string{"extract", "nova", "enc"} {
+		if spans[name] != 1 {
+			t.Fatalf("ledger stage %s: %d timed spans, want 1 (stages %+v)", name, spans[name], rec.Stages)
+		}
+		if _, ok := rec.Timers["tables.stage."+name]; !ok {
+			t.Fatalf("ledger timers miss tables.stage.%s", name)
+		}
+	}
+}

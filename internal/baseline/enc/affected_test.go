@@ -37,7 +37,6 @@ func TestAffectedFilterSound(t *testing.T) {
 			e.Codes[sym] = uint64(perm[sym])
 		}
 		s := &searcher{p: p, enc: e}
-		s.mask = uint64(1)<<uint(nv) - 1
 		s.cost = make([]int, len(p.Constraints))
 		s.agree = make([]uint64, len(p.Constraints))
 		s.vals = make([]uint64, len(p.Constraints))

@@ -32,9 +32,9 @@ type Options struct {
 	Budget int
 	// NV overrides the code length; 0 means the problem's minimum.
 	NV int
-	// Workers fans the independent candidate minimizations of one move
-	// out over the par pool; ≤ 1 evaluates sequentially. Results are
-	// identical at every worker count.
+	// Workers fans the initial constraint minimizations out over the par
+	// pool; ≤ 1 evaluates sequentially. The swap search itself is
+	// sequential. Results are identical at every worker count.
 	Workers int
 	// Cache memoizes the constraint minimizations (nil = none). ENC
 	// revisits the same constraint functions constantly — every reverted
@@ -59,7 +59,6 @@ type Result struct {
 type searcher struct {
 	p       *face.Problem
 	enc     *face.Encoding
-	mask    uint64
 	cost    []int
 	agree   []uint64
 	vals    []uint64
@@ -69,15 +68,11 @@ type searcher struct {
 	cache   *eval.Cache
 }
 
+// geom refreshes constraint i's supercube. A constraint without members
+// keeps agree = vals = 0: both swapped codes then read as inside, so no
+// swap of non-members marks it affected.
 func (s *searcher) geom(i int) {
-	c := s.p.Constraints[i]
-	members := c.Members()
-	agree := s.mask
-	vals := s.enc.Codes[members[0]] & s.mask
-	for _, m := range members[1:] {
-		agree &^= (vals ^ s.enc.Codes[m]) & s.mask
-	}
-	s.agree[i], s.vals[i] = agree, vals&agree
+	s.agree[i], s.vals[i], _ = s.enc.Supercube(s.p.Constraints[i])
 }
 
 func (s *searcher) minimize(i int) error {
@@ -91,29 +86,12 @@ func (s *searcher) minimize(i int) error {
 }
 
 // rescore refreshes the geometry and cost of the touched constraints
-// after a swap, charging one budget unit each. When strictly more budget
-// remains than constraints touched, the minimizations fan out over the
-// pool: the sequential loop's mid-loop break can only fire on budget
-// exhaustion, which the guard rules out, so the parallel path follows
-// the exact sequential trajectory. Near the budget edge it stays
-// sequential and reports exhausted exactly like the original loop.
+// after a swap, charging one budget unit each, and reports exhausted when
+// the budget runs out before the swap has proved an improvement. The
+// loop is sequential: with truth-table minimizations of about a
+// microsecond, fanning one swap's few constraints out over the pool costs
+// more than it saves (EXPERIMENTS.md).
 func (s *searcher) rescore(touched []int, oldTotal int) (newTotal int, exhausted bool, err error) {
-	if s.workers > 1 && s.evals+len(touched) < s.budget {
-		costs, err := par.Map(len(touched), s.workers, func(j int) (int, error) {
-			i := touched[j]
-			s.geom(i)
-			return s.cache.ConstraintCubesHeuristic(s.enc, s.p.Constraints[i])
-		})
-		if err != nil {
-			return 0, false, err
-		}
-		s.evals += len(touched)
-		for j, i := range touched {
-			s.cost[i] = costs[j]
-			newTotal += costs[j]
-		}
-		return newTotal, false, nil
-	}
 	for _, i := range touched {
 		s.geom(i)
 		if err := s.minimize(i); err != nil {
@@ -171,10 +149,6 @@ func Encode(p *face.Problem, o Options) (*Result, error) {
 		return nil, err
 	}
 	s := &searcher{p: p, enc: e, budget: budget, workers: o.Workers, cache: o.Cache}
-	s.mask = uint64(1)<<uint(nv) - 1
-	if nv == 64 {
-		s.mask = ^uint64(0)
-	}
 	r := len(p.Constraints)
 	s.cost = make([]int, r)
 	s.agree = make([]uint64, r)
@@ -195,6 +169,7 @@ func Encode(p *face.Problem, o Options) (*Result, error) {
 	s.evals += r
 	rng := rand.New(rand.NewSource(o.Seed + 7))
 	completed := false
+	var touched, oldCosts []int // per-swap scratch, reused across swaps
 	// First-improvement hill climbing over code swaps, random sweep order,
 	// until a full pass finds nothing better or the budget runs out.
 	for pass := 0; pass < 100; pass++ {
@@ -209,7 +184,7 @@ func Encode(p *face.Problem, o Options) (*Result, error) {
 				goto out
 			}
 			// Identify affected constraints before the swap.
-			var touched []int
+			touched = touched[:0]
 			for i := 0; i < r; i++ {
 				if s.affected(i, a, b) {
 					touched = append(touched, i)
@@ -218,10 +193,10 @@ func Encode(p *face.Problem, o Options) (*Result, error) {
 			if len(touched) == 0 {
 				continue
 			}
-			oldCosts := make([]int, len(touched))
+			oldCosts = oldCosts[:0]
 			oldTotal := 0
-			for j, i := range touched {
-				oldCosts[j] = s.cost[i]
+			for _, i := range touched {
+				oldCosts = append(oldCosts, s.cost[i])
 				oldTotal += s.cost[i]
 			}
 			e.Codes[a], e.Codes[b] = e.Codes[b], e.Codes[a]

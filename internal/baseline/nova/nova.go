@@ -14,6 +14,7 @@ package nova
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 
 	"picola/internal/face"
@@ -62,6 +63,11 @@ type state struct {
 	vals   []uint64 // supercube values on agreeing columns
 	intrs  []int    // intruder count per constraint
 	weight []float64
+
+	// tt is set when the codes fit one truth table (nv ≤ 6) and are
+	// distinct under the mask; used then holds the assigned codes.
+	tt   bool
+	used uint64
 }
 
 func newState(p *face.Problem, e *face.Encoding, o Options) *state {
@@ -92,6 +98,12 @@ func newState(p *face.Problem, e *face.Encoding, o Options) *state {
 	if e.NV == 64 {
 		s.mask = ^uint64(0)
 	}
+	if e.NV <= 6 {
+		for _, code := range e.Codes {
+			s.used |= 1 << (code & s.mask)
+		}
+		s.tt = bits.OnesCount64(s.used) == e.N()
+	}
 	r := len(p.Constraints)
 	s.agree = make([]uint64, r)
 	s.vals = make([]uint64, r)
@@ -104,23 +116,30 @@ func newState(p *face.Problem, e *face.Encoding, o Options) *state {
 	return s
 }
 
-// recompute rebuilds constraint i's supercube and intruder count.
+// recompute rebuilds constraint i's supercube and intruder count. A
+// constraint without members spans no cube: it keeps agree = vals = 0
+// and no intruders, and since every code then reads as inside, no move
+// changes its count. On a truth-table state the used codes are one mask
+// and every member lies in the supercube, so the intruders are the used
+// minterms of the cube minus the members; otherwise the non-members are
+// scanned.
 func (s *state) recompute(i int) {
 	c := s.p.Constraints[i]
-	members := c.Members()
-	agree := s.mask
-	vals := s.enc.Codes[members[0]] & s.mask
-	for _, m := range members[1:] {
-		agree &^= (vals ^ s.enc.Codes[m]) & s.mask
-	}
-	vals &= agree
+	agree, vals, ok := s.enc.Supercube(c)
 	intr := 0
-	for sym := 0; sym < s.enc.N(); sym++ {
-		if c.Has(sym) {
-			continue
+	switch {
+	case !ok:
+	case s.tt:
+		cube := uint64(1) << vals
+		for free := s.mask &^ agree; free != 0; free &= free - 1 {
+			cube |= cube << (uint(1) << uint(bits.TrailingZeros64(free)))
 		}
-		if (s.enc.Codes[sym]^vals)&agree == 0 {
-			intr++
+		intr = bits.OnesCount64(cube&s.used) - c.Count()
+	default:
+		for sym := 0; sym < s.enc.N(); sym++ {
+			if !c.Has(sym) && (s.enc.Codes[sym]^vals)&agree == 0 {
+				intr++
+			}
 		}
 	}
 	s.agree[i], s.vals[i], s.intrs[i] = agree, vals, intr
@@ -155,15 +174,7 @@ func (s *state) pairBonus() float64 {
 	return total
 }
 
-func hamming(a, b uint64) int {
-	x := a ^ b
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
-}
+func hamming(a, b uint64) int { return bits.OnesCount64(a ^ b) }
 
 // applySwap exchanges the codes of symbols a and b (b may be -1 with a
 // spare code, meaning "move a to code spare") and incrementally updates
@@ -189,6 +200,9 @@ func (s *state) applySwap(a, b int) {
 func (s *state) applyMove(a int, spare uint64) uint64 {
 	old := s.enc.Codes[a]
 	s.enc.Codes[a] = spare
+	if s.tt {
+		s.used ^= 1<<(old&s.mask) | 1<<(spare&s.mask)
+	}
 	for i, c := range s.p.Constraints {
 		if c.Has(a) {
 			s.recompute(i)

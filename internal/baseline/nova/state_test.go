@@ -77,3 +77,88 @@ func TestIncrementalStateMatchesRecompute(t *testing.T) {
 		}
 	}
 }
+
+// recomputeRef is the scan the production recompute replaced, kept as its
+// oracle: the member list's supercube, then every non-member code tested
+// against it. A constraint without members keeps agree = vals = 0 and no
+// intruders.
+func (s *state) recomputeRef(i int) (agree, vals uint64, intr int) {
+	c := s.p.Constraints[i]
+	members := c.Members()
+	if len(members) == 0 {
+		return 0, 0, 0
+	}
+	agree = s.mask
+	vals = s.enc.Codes[members[0]] & s.mask
+	for _, m := range members[1:] {
+		agree &^= (vals ^ s.enc.Codes[m]) & s.mask
+	}
+	vals &= agree
+	for sym := 0; sym < s.enc.N(); sym++ {
+		if !c.Has(sym) && (s.enc.Codes[sym]^vals)&agree == 0 {
+			intr++
+		}
+	}
+	return agree, vals, intr
+}
+
+// TestRecomputeMatchesScan drives seeded random swap and move sequences
+// over truth-table states (nv ≤ 6, distinct codes), wide states (nv = 7)
+// and colliding states (an NV override too short for the symbols), with
+// empty constraints mixed in, and holds every constraint's agree, vals
+// and intruder count to the scan oracle after each step.
+func TestRecomputeMatchesScan(t *testing.T) {
+	r := rand.New(rand.NewSource(83))
+	for trial := 0; trial < 90; trial++ {
+		var n, nv int
+		switch trial % 3 {
+		case 0:
+			n = 2 + r.Intn(60)
+			for (1 << nv) < n {
+				nv++
+			}
+			nv += r.Intn(7 - nv)
+		case 1:
+			n, nv = 20+r.Intn(100), 7
+		case 2:
+			nv = 1 + r.Intn(4)
+			n = (1 << nv) + 1 + r.Intn(8)
+		}
+		p := randomProblem(r, n)
+		p.AddConstraint(face.NewConstraint(n))
+		e := face.NewEncoding(n, nv)
+		var spares []uint64
+		if trial%3 == 2 {
+			for s := 0; s < n; s++ {
+				e.Codes[s] = uint64(s)
+			}
+		} else {
+			perm := r.Perm(1 << uint(nv))
+			for s := 0; s < n; s++ {
+				e.Codes[s] = uint64(perm[s])
+			}
+			for _, code := range perm[n:] {
+				spares = append(spares, uint64(code))
+			}
+		}
+		st := newState(p, e, Options{})
+		if want := trial%3 == 0; st.tt != want {
+			t.Fatalf("trial %d (n %d, nv %d): truth-table state %v, want %v", trial, n, nv, st.tt, want)
+		}
+		for step := 0; step < 80; step++ {
+			if len(spares) > 0 && r.Intn(3) == 0 {
+				si := r.Intn(len(spares))
+				spares[si] = st.applyMove(r.Intn(n), spares[si])
+			} else if a, b := r.Intn(n), r.Intn(n); a != b {
+				st.applySwap(a, b)
+			}
+			for i := range p.Constraints {
+				agree, vals, intr := st.recomputeRef(i)
+				if st.agree[i] != agree || st.vals[i] != vals || st.intrs[i] != intr {
+					t.Fatalf("trial %d step %d constraint %d: (%b, %b, %d), scan (%b, %b, %d)",
+						trial, step, i, st.agree[i], st.vals[i], st.intrs[i], agree, vals, intr)
+				}
+			}
+		}
+	}
+}

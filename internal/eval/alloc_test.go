@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"picola/internal/espresso"
 	"picola/internal/exact"
 	"picola/internal/face"
 )
@@ -102,16 +103,17 @@ func TestAllocsDenseCodeSpace(t *testing.T) {
 	}
 }
 
-// TestPooledScoringUnderContention hammers the pooled exact path from
-// GOMAXPROCS×2 goroutines and checks every result against the unpooled
-// reference (ConstraintFunction + exact.Minimize). Run under -race, this
-// is the pooling layer's contention gate.
+// TestPooledScoringUnderContention hammers the pooled exact and
+// heuristic paths from GOMAXPROCS×2 goroutines and checks every result
+// against the unpooled references (ConstraintFunction + exact.Minimize,
+// ConstraintFunction + espresso.Minimize). Run under -race, this is the
+// pooling layer's contention gate.
 func TestPooledScoringUnderContention(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	const n, nv = 12, 4
 	e := testEncoding(n, nv)
 	var cons []face.Constraint
-	var want []int
+	var want, wantH []int
 	for i := 0; i < 24; i++ {
 		c := face.NewConstraint(n)
 		for s := 0; s < n; s++ {
@@ -128,6 +130,11 @@ func TestPooledScoringUnderContention(t *testing.T) {
 			t.Fatal(err)
 		}
 		want = append(want, min.Len())
+		heur, err := espresso.Minimize(ConstraintFunction(e, c))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantH = append(wantH, heur.Len())
 	}
 
 	workers := runtime.GOMAXPROCS(0) * 2
@@ -146,6 +153,15 @@ func TestPooledScoringUnderContention(t *testing.T) {
 					}
 					if got != want[i] {
 						t.Errorf("worker %d: constraint %d: pooled %d, reference %d", w, i, got, want[i])
+						return
+					}
+					gotH, err := ConstraintCubesHeuristic(e, c)
+					if err != nil {
+						errs[w] = err
+						return
+					}
+					if gotH != wantH[i] {
+						t.Errorf("worker %d: constraint %d: pooled heuristic %d, reference %d", w, i, gotH, wantH[i])
 						return
 					}
 				}

@@ -11,10 +11,11 @@ import (
 	"picola/internal/face"
 )
 
-// scorer is the pooled scratch of one exact constraint scoring: a slab of
-// cube words backing the n code cubes, reusable ON/OFF cover headers, and
-// the count-only exact minimizer. On a warmed instance, scoring allocates
-// nothing — the TestAllocs gate enforces that.
+// scorer is the pooled scratch of one constraint scoring: a slab of cube
+// words backing the n code cubes, reusable ON/OFF cover headers, the
+// count-only exact minimizer, and the truth-table espresso with its ON
+// code and don't-care word lists. On a warmed instance, scoring allocates
+// nothing — the TestAllocs gates enforce that.
 type scorer struct {
 	words    []uint64
 	onCubes  []cube.Cube
@@ -22,6 +23,9 @@ type scorer struct {
 	on, off  cover.Cover
 	fn       espresso.Function
 	counter  exact.Counter
+	heur     espresso.Counter
+	onCodes  []uint64
+	dcWords  []uint64
 }
 
 var scorerPool = sync.Pool{New: func() any { return new(scorer) }}
@@ -87,12 +91,33 @@ func (s *scorer) exactCount(ctx context.Context, e *face.Encoding, c face.Constr
 	return s.counter.CountContext(ctx, &s.fn, e.NV)
 }
 
-// heurCount scores one constraint with the pooled espresso path. dc may
-// carry the memoized don't-care cover of the encoding's used-code set
-// (nil lets espresso derive it from On/Off as before); espresso clones
-// the ON cover and never mutates or retains Off/DC cubes, so the pooled
-// slab and a shared DC cover are both safe here.
+// heurCount scores one constraint with the pooled espresso path. dc is
+// the don't-care cover of the encoding's used-code set (the complement of
+// the code cubes, memoized or freshly built). Code spaces of up to
+// espresso.TTMaxInputs bits go to the truth-table espresso: the member
+// codes in symbol order (the ON cover's order) and the non-member codes
+// as an OFF mask, read straight off the encoding, plus dc's cube words in
+// dc's order. Wider ones take the slab build; espresso clones the ON cover and never mutates or
+// retains Off/DC cubes, so the pooled slab and a shared DC cover are both
+// safe there.
 func (s *scorer) heurCount(ctx context.Context, e *face.Encoding, c face.Constraint, dc *cover.Cover) (int, error) {
+	if e.NV <= espresso.TTMaxInputs {
+		mask := uint64(1)<<uint(e.NV) - 1
+		var off uint64
+		s.onCodes = s.onCodes[:0]
+		for sym, code := range e.Codes {
+			if c.Has(sym) {
+				s.onCodes = append(s.onCodes, code&mask)
+			} else {
+				off |= 1 << (code & mask)
+			}
+		}
+		s.dcWords = s.dcWords[:0]
+		for _, cu := range dc.Cubes {
+			s.dcWords = append(s.dcWords, cu[0])
+		}
+		return s.heur.CountTT(ctx, e.NV, s.onCodes, off, s.dcWords)
+	}
 	d := s.build(e, c)
 	s.fn = espresso.Function{D: d, On: &s.on, Off: &s.off, DC: dc}
 	min, err := espresso.MinimizeContext(ctx, &s.fn)

@@ -101,6 +101,11 @@ func minimizeConstraint(ctx context.Context, e *face.Encoding, c face.Constraint
 		return s.exactCount(ctx, e, c)
 	}
 	mHeuristic.Inc()
+	if e.NV <= espresso.TTMaxInputs {
+		s := scorerPool.Get().(*scorer)
+		defer scorerPool.Put(s)
+		return s.heurCount(ctx, e, c, usedComplement(e))
+	}
 	f := ConstraintFunction(e, c)
 	min, err := espresso.MinimizeContext(ctx, f)
 	if err != nil {

@@ -183,20 +183,24 @@ func (c *Cache) dcCover(kb *keyBuf, e *face.Encoding) *cover.Cover {
 		}
 	}
 	mWarmFallbacks.Inc()
-	d := cube.BinaryInterned(e.NV)
-	un := cover.New(d)
-	for s := 0; s < e.N(); s++ {
-		cu := d.NewCube()
-		for col := 0; col < e.NV; col++ {
-			d.Set(cu, col, e.Bit(s, col))
-		}
-		un.Add(cu)
-	}
-	dc := un.Complement()
+	dc := usedComplement(e)
 	if kb.injective {
 		dc = c.dcStore(string(kb.dcKey()), dc)
 	}
 	return dc
+}
+
+// usedComplement returns the complement of the encoding's code cubes:
+// the don't-care cover espresso derives from a constraint's ON and OFF
+// covers, whose union lists the same cubes (the complement depends only
+// on the cube multiset, not on its order or ON/OFF split).
+func usedComplement(e *face.Encoding) *cover.Cover {
+	d := cube.BinaryInterned(e.NV)
+	un := cover.New(d)
+	for s := 0; s < e.N(); s++ {
+		un.Add(codeCube(d, e, s))
+	}
+	return un.Complement()
 }
 
 // dcStore interns a freshly built don't-care cover under its signature.

@@ -8,11 +8,13 @@ import (
 
 	"picola/internal/covering"
 	"picola/internal/ctxutil"
+	"picola/internal/espresso"
 )
 
 // TTMaxInputs is the widest single-output function the truth-table path
-// takes: its 2^6 minterms fill one uint64.
-const TTMaxInputs = 6
+// takes: its 2^6 minterms fill one uint64. The truth-table espresso
+// shares the bound.
+const TTMaxInputs = espresso.TTMaxInputs
 
 // mask0[v] holds the minterms whose bit v is 0.
 var mask0 = [TTMaxInputs]uint64{

@@ -313,30 +313,40 @@ func (e *Encoding) Satisfied(c Constraint) bool {
 	return len(e.Intruders(c)) == 0
 }
 
+// Supercube returns the smallest cube holding the member codes of c:
+// agree has a bit for every code column where all members share a value,
+// and vals holds those values. ok is false when c has no members and so
+// spans no cube. It allocates nothing.
+func (e *Encoding) Supercube(c Constraint) (agree, vals uint64, ok bool) {
+	for wi, w := range c.words {
+		for ; w != 0; w &= w - 1 {
+			code := e.Codes[wi*64+bits.TrailingZeros64(w)]
+			if !ok {
+				agree, vals, ok = ^uint64(0), code, true
+				if e.NV < 64 {
+					agree = uint64(1)<<uint(e.NV) - 1
+				}
+				continue
+			}
+			agree &^= vals ^ code // columns that ever differ stop agreeing
+		}
+	}
+	return agree, vals & agree, ok
+}
+
 // Intruders returns the non-members of c whose codes lie inside the
 // supercube of the member codes, ascending.
 func (e *Encoding) Intruders(c Constraint) []int {
-	members := c.Members()
-	if len(members) == 0 {
+	agree, vals, ok := e.Supercube(c)
+	if !ok {
 		return nil
-	}
-	// agree: columns where all members share a value; val: that value.
-	var agreeMask, val uint64
-	first := e.Codes[members[0]]
-	agreeMask = (uint64(1)<<uint(e.NV) - 1)
-	if e.NV == 64 {
-		agreeMask = ^uint64(0)
-	}
-	val = first
-	for _, m := range members[1:] {
-		agreeMask &^= val ^ e.Codes[m] // columns that ever differ stop agreeing
 	}
 	var out []int
 	for s := 0; s < len(e.Codes); s++ {
 		if c.Has(s) {
 			continue
 		}
-		if (e.Codes[s]^val)&agreeMask == 0 {
+		if (e.Codes[s]^vals)&agree == 0 {
 			out = append(out, s)
 		}
 	}

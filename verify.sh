@@ -39,10 +39,12 @@ go test -race ./...
 # scoring must perform zero heap allocations, on a warmed encoder one
 # classify column scan likewise, and on a warmed 6-word domain one wide
 # tautology-kernel call, and on a warmed exact.Counter / Solver64 one
-# nv = 5 and one nv = 6 truth-table count (the hot-path pooling contract;
+# nv = 5 and one nv = 6 truth-table count, and on a warmed
+# espresso.Counter (directly and through eval's heuristic scoring) one
+# nv = 5 truth-table espresso (the hot-path pooling contract;
 # testing.AllocsPerRun-based, so a single stray make fails it).
 go test -run TestAllocs -count=1 ./internal/eval ./internal/core ./internal/cover \
-  ./internal/exact ./internal/covering
+  ./internal/exact ./internal/covering ./internal/espresso
 
 # Hot-path semantics gate: regenerate the Table I snapshot and require
 # zero cube-count deltas against the committed baseline — the kernel,
