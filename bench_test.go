@@ -326,117 +326,68 @@ var (
 	benchSinkBool bool
 )
 
-// BenchmarkCubeKernels compares the single-word cube kernels against the
-// generic span-loop reference on identical data: the generic runs use
-// Domain.Generic(), the kernels-disabled view of the same 8-variable
-// binary domain. The sub-benchmark leaf names (kernel|generic) are the
-// benchstat axis:
+// BenchmarkCubeOps times the cube operations on random cube pairs over
+// one-, two- and three-word binary domains (8, 40 and 80 variables), and
+// the tautology kernel on a 16-cube tautology over each:
 //
-//	go test -bench=CubeKernels -count=10 | tee kernels.txt
-//	benchstat -col /path kernels.txt   # after s/…\/(kernel|generic)/path=\1/
-func BenchmarkCubeKernels(b *testing.B) {
-	d := cube.Binary(8)
-	pairs := benchCubePairs(d, 256, 11)
-	// A genuine tautology (all 16 assignments of the first 4 variables,
-	// rest free) so both paths recurse instead of quick-rejecting.
-	var tautCubes []cube.Cube
-	for x := 0; x < 16; x++ {
-		c := d.Universe()
-		for v := 0; v < 4; v++ {
-			d.Restrict(c, v, x>>uint(v)&1)
-		}
-		tautCubes = append(tautCubes, c)
-	}
-	dst := d.NewCube()
-	for _, path := range []struct {
-		name string
-		d    *cube.Domain
-	}{{"kernel", d}, {"generic", d.Generic()}} {
-		dd := path.d
-		b.Run("intersect/"+path.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				p := pairs[i%len(pairs)]
-				benchSinkBool = dd.Intersect(dst, p[0], p[1])
-			}
-		})
-		b.Run("distance/"+path.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				p := pairs[i%len(pairs)]
-				benchSinkInt = dd.Distance(p[0], p[1])
-			}
-		})
-		b.Run("cofactor/"+path.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				p := pairs[i%len(pairs)]
-				benchSinkBool = dd.Cofactor(dst, p[0], p[1])
-			}
-		})
-		b.Run("consensus/"+path.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				p := pairs[i%len(pairs)]
-				benchSinkBool = dd.Consensus(dst, p[0], p[1])
-			}
-		})
-		b.Run("tautology/"+path.name, func(b *testing.B) {
-			f := &cover.Cover{D: dd, Cubes: tautCubes}
-			for i := 0; i < b.N; i++ {
-				benchSinkBool = f.Tautology()
-			}
-		})
-	}
-}
-
-// BenchmarkCubeKernelsMultiWord is the 2- and 3-word analogue of
-// BenchmarkCubeKernels: an 80-bit (40-variable) and a 160-bit (80-variable)
-// binary domain exercise the fixed-width multi-word kernels against the
-// same Generic() span-loop reference.
-func BenchmarkCubeKernelsMultiWord(b *testing.B) {
-	for _, tier := range []struct {
+//	go test -bench=CubeOps -count=10 | tee ops.txt
+//	benchstat ops.txt
+func BenchmarkCubeOps(b *testing.B) {
+	for _, width := range []struct {
 		name string
 		nv   int
-	}{{"2word", 40}, {"3word", 80}} {
-		d := cube.Binary(tier.nv)
-		if d.KernelWords() != int(tier.name[0]-'0') {
-			b.Fatalf("Binary(%d) selected tier %d", tier.nv, d.KernelWords())
+	}{{"1word", 8}, {"2word", 40}, {"3word", 80}} {
+		d := cube.Binary(width.nv)
+		if d.Words() != int(width.name[0]-'0') {
+			b.Fatalf("Binary(%d) has %d words", width.nv, d.Words())
 		}
-		pairs := benchCubePairs(d, 256, 13)
+		pairs := benchCubePairs(d, 256, 11)
+		// A genuine tautology (all 16 assignments of the first 4
+		// variables, rest free) so the kernel recurses instead of
+		// quick-rejecting.
+		taut := cover.New(d)
+		for x := 0; x < 16; x++ {
+			c := d.Universe()
+			for v := 0; v < 4; v++ {
+				d.Restrict(c, v, x>>uint(v)&1)
+			}
+			taut.Add(c)
+		}
 		dst := d.NewCube()
-		for _, path := range []struct {
-			name string
-			d    *cube.Domain
-		}{{"kernel", d}, {"generic", d.Generic()}} {
-			dd := path.d
-			b.Run(tier.name+"/intersect/"+path.name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					p := pairs[i%len(pairs)]
-					benchSinkBool = dd.Intersect(dst, p[0], p[1])
-				}
-			})
-			b.Run(tier.name+"/distance/"+path.name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					p := pairs[i%len(pairs)]
-					benchSinkInt = dd.Distance(p[0], p[1])
-				}
-			})
-			b.Run(tier.name+"/cofactor/"+path.name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					p := pairs[i%len(pairs)]
-					benchSinkBool = dd.Cofactor(dst, p[0], p[1])
-				}
-			})
-			b.Run(tier.name+"/consensus/"+path.name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					p := pairs[i%len(pairs)]
-					benchSinkBool = dd.Consensus(dst, p[0], p[1])
-				}
-			})
-		}
+		b.Run(width.name+"/intersect", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				p := pairs[i%len(pairs)]
+				benchSinkBool = d.Intersect(dst, p[0], p[1])
+			}
+		})
+		b.Run(width.name+"/distance", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				p := pairs[i%len(pairs)]
+				benchSinkInt = d.Distance(p[0], p[1])
+			}
+		})
+		b.Run(width.name+"/cofactor", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				p := pairs[i%len(pairs)]
+				benchSinkBool = d.Cofactor(dst, p[0], p[1])
+			}
+		})
+		b.Run(width.name+"/consensus", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				p := pairs[i%len(pairs)]
+				benchSinkBool = d.Consensus(dst, p[0], p[1])
+			}
+		})
+		b.Run(width.name+"/tautology", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				benchSinkBool = taut.Tautology()
+			}
+		})
 	}
 }
 
 // BenchmarkMinimizeSmall measures whole minimizer runs on a small random
-// fr-form function — the constraint-scoring shape — under the single-word
-// kernels and under the generic reference domain.
+// fr-form function — the constraint-scoring shape.
 func BenchmarkMinimizeSmall(b *testing.B) {
 	const inputs = 5
 	d := cube.Binary(inputs)
@@ -454,45 +405,37 @@ func BenchmarkMinimizeSmall(b *testing.B) {
 			off.Add(c)
 		}
 	}
-	for _, path := range []struct {
-		name string
-		d    *cube.Domain
-	}{{"kernel", d}, {"generic", d.Generic()}} {
-		dd := path.d
-		onc := &cover.Cover{D: dd, Cubes: on.Cubes}
-		offc := &cover.Cover{D: dd, Cubes: off.Cubes}
-		b.Run("espresso/"+path.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				f := &espresso.Function{D: dd, On: onc, Off: offc}
-				mc, err := espresso.Minimize(f)
-				if err != nil {
-					b.Fatal(err)
-				}
-				benchSinkInt = mc.Len()
+	b.Run("espresso", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			f := &espresso.Function{D: d, On: on, Off: off}
+			mc, err := espresso.Minimize(f)
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
-		b.Run("exact/"+path.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				f := &espresso.Function{D: dd, On: onc, Off: offc}
-				mc, err := exact.Minimize(f, inputs)
-				if err != nil {
-					b.Fatal(err)
-				}
-				benchSinkInt = mc.Len()
+			benchSinkInt = mc.Len()
+		}
+	})
+	b.Run("exact", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			f := &espresso.Function{D: d, On: on, Off: off}
+			mc, err := exact.Minimize(f, inputs)
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
-		b.Run("exact-counter/"+path.name, func(b *testing.B) {
-			var ct exact.Counter
-			for i := 0; i < b.N; i++ {
-				f := &espresso.Function{D: dd, On: onc, Off: offc}
-				n, err := ct.Count(f, inputs)
-				if err != nil {
-					b.Fatal(err)
-				}
-				benchSinkInt = n
+			benchSinkInt = mc.Len()
+		}
+	})
+	b.Run("exact-counter", func(b *testing.B) {
+		var ct exact.Counter
+		for i := 0; i < b.N; i++ {
+			f := &espresso.Function{D: d, On: on, Off: off}
+			n, err := ct.Count(f, inputs)
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+			benchSinkInt = n
+		}
+	})
 }
 
 // BenchmarkEspresso measures the two-level minimizer substrate on the

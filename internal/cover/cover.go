@@ -166,16 +166,6 @@ func (f *Cover) activeVar() int {
 	return best
 }
 
-// Tautology reports whether the cover covers the entire space. It runs the
-// single-word kernel on single-word domains and the word-parallel kernel
-// on every other (see kernel.go).
-func (f *Cover) Tautology() bool {
-	if f.D.SingleWord() {
-		return f.tautology1()
-	}
-	return f.tautologyW()
-}
-
 // Complement returns a cover of the complement of f (the minterms covered
 // by no cube of f), computed by Shannon expansion with single-cube
 // containment cleanup. The result is not guaranteed minimal.
@@ -280,14 +270,6 @@ func Sharp(d *cube.Domain, a, b cube.Cube) *Cover {
 	}
 	out.SCC()
 	return out
-}
-
-// CoversCube reports whether the cover covers every minterm of cube c.
-func (f *Cover) CoversCube(c cube.Cube) bool {
-	if f.D.SingleWord() {
-		return f.coversCube1(c)
-	}
-	return f.coversCubeW(c)
 }
 
 // Covers reports whether f covers every cube of g.

@@ -2,11 +2,11 @@ package cover
 
 import "picola/internal/cube"
 
-// tautologyRef is the generic unate recursion, the oracle both tautology
-// kernels (kernel.go) mirror decision for decision. It materializes a
+// tautologyRef is the generic unate recursion, the oracle the tautology
+// kernel (kernel.go) mirrors decision for decision. It materializes a
 // fresh cover per cofactor and tests fields through the domain's cube
-// operations, so over a Generic view it runs the span-loop reference
-// path end to end. It counts cover.tautology_nodes like the kernels.
+// operations, which the cube package checks against its per-value
+// reference. It counts cover.tautology_nodes like the kernel.
 func tautologyRef(f *Cover) bool {
 	mTautologyNodes.Inc()
 	d := f.D

@@ -63,41 +63,14 @@ type Domain struct {
 	offs   []int // starting bit of each variable
 	nbits  int
 	nwords int
-	spans  [][]wordSpan // per-variable word/mask pairs covering its field
-	bitVar []int        // owning variable per absolute bit
-
-	// Single-word kernel state. When every field of a cube fits in word 0
-	// (nwords == 1), the per-variable span loops above collapse to direct
-	// uint64 operations against these precomputed masks. The selection is
-	// made once here, at construction; the generic span path remains the
-	// reference implementation (see Generic) and is cross-checked against
-	// the kernels in the package tests.
-	w1    bool
-	vmask []uint64 // per-variable field mask within word 0
-	full  uint64   // union of all field masks (the universe word)
-
-	// Two- and three-word kernel state (kernels23.go): the same
-	// construction-time selection for domains of 65..128 and 129..192 bits.
-	// Each variable's field mask is precomputed over the fixed word count —
-	// a field straddling a word boundary simply has non-zero mask parts in
-	// both words — so every operation is a fully unrolled word expression
-	// with no span loop.
-	w2     bool
-	vmask2 [][2]uint64 // per-variable field masks over words 0..1
-	full2  [2]uint64   // universe words
-	w3     bool
-	vmask3 [][3]uint64 // per-variable field masks over words 0..2
-	full3  [3]uint64   // universe words
-
-	layout Layout // flat word masks for row kernels; kept by Generic views
+	bitVar []int // owning variable per absolute bit
+	layout Layout
 }
 
 // Layout is a domain's fields as flat word masks over all of its words,
-// for kernels that keep cubes as rows of Words() words in one arena (the
-// word-parallel tautology kernel in internal/cover). It is the
-// construction of the two- and three-word masks generalised to any word
-// count, built once in New for every domain. Generic views share it: it
-// is data, not a kernel tier. Callers must not modify it.
+// built once in New. Every cube operation runs over it, and kernels that
+// keep cubes as rows of Words() words in one arena (the tautology kernel
+// in internal/cover) read it directly. Callers must not modify it.
 type Layout struct {
 	K    int      // words per row: Domain.Words
 	Full []uint64 // the universe, K words
@@ -107,7 +80,8 @@ type Layout struct {
 	Lo, Hi []int
 	// Pair holds, per word, the low bit of every binary field lying
 	// wholly inside that word, so one expression tests all of them:
-	// such a field of x is non-empty iff its bit is set in x|x>>1.
+	// such a field of x is non-empty iff its bit is set in x|x>>1, and
+	// full iff it is set in x&x>>1.
 	Pair []uint64
 	// Rest lists the variables Pair does not cover: multi-valued and
 	// one-valued fields, and binary fields straddling a word boundary.
@@ -131,41 +105,10 @@ func New(sizes ...int) *Domain {
 	if d.nwords == 0 {
 		d.nwords = 1
 	}
-	d.spans = make([][]wordSpan, len(sizes))
-	for v := range sizes {
-		d.spans[v] = spansFor(d.offs[v], d.sizes[v])
-	}
 	d.bitVar = make([]int, d.nbits)
 	for v := range sizes {
 		for val := 0; val < d.sizes[v]; val++ {
 			d.bitVar[d.offs[v]+val] = v
-		}
-	}
-	switch {
-	case d.nbits <= 64:
-		d.w1 = true
-		d.vmask = make([]uint64, len(sizes))
-		for v := range sizes {
-			d.vmask[v] = d.spans[v][0].mask
-			d.full |= d.vmask[v]
-		}
-	case d.nwords == 2:
-		d.w2 = true
-		d.vmask2 = make([][2]uint64, len(sizes))
-		for v := range sizes {
-			for _, s := range d.spans[v] {
-				d.vmask2[v][s.word] |= s.mask
-				d.full2[s.word] |= s.mask
-			}
-		}
-	case d.nwords == 3:
-		d.w3 = true
-		d.vmask3 = make([][3]uint64, len(sizes))
-		for v := range sizes {
-			for _, s := range d.spans[v] {
-				d.vmask3[v][s.word] |= s.mask
-				d.full3[s.word] |= s.mask
-			}
 		}
 	}
 	k := d.nwords
@@ -177,7 +120,7 @@ func New(sizes ...int) *Domain {
 	l.Hi = make([]int, len(sizes))
 	l.Pair = make([]uint64, k)
 	for v := range sizes {
-		sp := d.spans[v]
+		sp := spansFor(d.offs[v], sizes[v])
 		for _, s := range sp {
 			l.Mask[v*k+s.word] = s.mask
 			l.Full[s.word] |= s.mask
@@ -196,50 +139,36 @@ func New(sizes ...int) *Domain {
 // must not be modified.
 func (d *Domain) Layout() *Layout { return &d.layout }
 
-// SingleWord reports whether the domain's cubes fit in one uint64 word and
-// the word-level kernels are selected.
-func (d *Domain) SingleWord() bool { return d.w1 }
-
-// KernelWords reports which word-level kernel tier the domain selected:
-// 1, 2 or 3 for the fixed-width fast paths, 0 when every operation takes
-// the generic span-loop path (domains beyond 192 bits, or Generic views).
-func (d *Domain) KernelWords() int {
-	switch {
-	case d.w1:
-		return 1
-	case d.w2:
-		return 2
-	case d.w3:
-		return 3
+// Meets reports whether every field of a∩b holds at least one value,
+// without materializing the intersection.
+//
+//picola:hot
+func (l *Layout) Meets(a, b []uint64) bool {
+	for w, p := range l.Pair {
+		x := a[w] & b[w]
+		if (x|x>>1)&p != p {
+			return false
+		}
 	}
-	return 0
+	for _, v := range l.Rest {
+		if !l.PartMeets(a, b, v) {
+			return false
+		}
+	}
+	return true
 }
 
-// FullMask returns the universe word — the union of every variable's field
-// mask in word 0. Only meaningful when SingleWord reports true.
-func (d *Domain) FullMask() uint64 { return d.full }
-
-// VarMasks returns the per-variable field masks within word 0, or nil when
-// the domain is not single-word. The slice is shared and must not be
-// modified.
-func (d *Domain) VarMasks() []uint64 { return d.vmask }
-
-// Generic returns a copy of the domain with the word-level kernels (all
-// tiers) disabled, so every operation takes the span-loop reference path.
-// It exists for tests and benchmarks: the generic path is the oracle the
-// kernels are checked against.
-func (d *Domain) Generic() *Domain {
-	g := *d
-	g.w1 = false
-	g.vmask = nil
-	g.full = 0
-	g.w2 = false
-	g.vmask2 = nil
-	g.full2 = [2]uint64{}
-	g.w3 = false
-	g.vmask3 = nil
-	g.full3 = [3]uint64{}
-	return &g
+// PartMeets reports whether a∩b holds at least one value of variable v.
+//
+//picola:hot
+func (l *Layout) PartMeets(a, b []uint64, v int) bool {
+	m := l.Mask[v*l.K:]
+	for w := l.Lo[v]; w <= l.Hi[v]; w++ {
+		if a[w]&b[w]&m[w] != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // Binary creates a domain of n binary variables.
@@ -318,9 +247,7 @@ func (d *Domain) NewCube() Cube { return make(Cube, d.nwords) }
 // Universe returns the cube allowing every value of every variable.
 func (d *Domain) Universe() Cube {
 	c := d.NewCube()
-	for v := range d.sizes {
-		d.SetAll(c, v)
-	}
+	copy(c, d.layout.Full)
 	return c
 }
 
@@ -360,49 +287,19 @@ func (d *Domain) ClearVal(c Cube, v, val int) {
 
 // SetAll allows every value of variable v in c (a full field).
 func (d *Domain) SetAll(c Cube, v int) {
-	if d.w1 {
-		c[0] |= d.vmask[v]
-		return
-	}
-	if d.w2 {
-		m := &d.vmask2[v]
-		c[0] |= m[0]
-		c[1] |= m[1]
-		return
-	}
-	if d.w3 {
-		m := &d.vmask3[v]
-		c[0] |= m[0]
-		c[1] |= m[1]
-		c[2] |= m[2]
-		return
-	}
-	for _, s := range d.spans[v] {
-		c[s.word] |= s.mask
+	l := &d.layout
+	m := l.Mask[v*l.K:]
+	for w := l.Lo[v]; w <= l.Hi[v]; w++ {
+		c[w] |= m[w]
 	}
 }
 
 // ClearAll disallows every value of variable v in c (an empty field).
 func (d *Domain) ClearAll(c Cube, v int) {
-	if d.w1 {
-		c[0] &^= d.vmask[v]
-		return
-	}
-	if d.w2 {
-		m := &d.vmask2[v]
-		c[0] &^= m[0]
-		c[1] &^= m[1]
-		return
-	}
-	if d.w3 {
-		m := &d.vmask3[v]
-		c[0] &^= m[0]
-		c[1] &^= m[1]
-		c[2] &^= m[2]
-		return
-	}
-	for _, s := range d.spans[v] {
-		c[s.word] &^= s.mask
+	l := &d.layout
+	m := l.Mask[v*l.K:]
+	for w := l.Lo[v]; w <= l.Hi[v]; w++ {
+		c[w] &^= m[w]
 	}
 }
 
@@ -413,38 +310,20 @@ func (d *Domain) Restrict(c Cube, v, val int) {
 }
 
 // PartEmpty reports whether variable v's field in c is empty.
+//
+//picola:hot
 func (d *Domain) PartEmpty(c Cube, v int) bool {
-	if d.w1 {
-		return c[0]&d.vmask[v] == 0
-	}
-	if d.w2 {
-		return d.partEmpty2(c, v)
-	}
-	if d.w3 {
-		return d.partEmpty3(c, v)
-	}
-	for _, s := range d.spans[v] {
-		if c[s.word]&s.mask != 0 {
-			return false
-		}
-	}
-	return true
+	return !d.layout.PartMeets(c, c, v)
 }
 
 // PartFull reports whether variable v's field in c allows every value.
+//
+//picola:hot
 func (d *Domain) PartFull(c Cube, v int) bool {
-	if d.w1 {
-		m := d.vmask[v]
-		return c[0]&m == m
-	}
-	if d.w2 {
-		return d.partFull2(c, v)
-	}
-	if d.w3 {
-		return d.partFull3(c, v)
-	}
-	for _, s := range d.spans[v] {
-		if c[s.word]&s.mask != s.mask {
+	l := &d.layout
+	m := l.Mask[v*l.K:]
+	for w := l.Lo[v]; w <= l.Hi[v]; w++ {
+		if c[w]&m[w] != m[w] {
 			return false
 		}
 	}
@@ -452,19 +331,14 @@ func (d *Domain) PartFull(c Cube, v int) bool {
 }
 
 // PartCount returns the number of allowed values of variable v in c.
+//
+//picola:hot
 func (d *Domain) PartCount(c Cube, v int) int {
-	if d.w1 {
-		return bits.OnesCount64(c[0] & d.vmask[v])
-	}
-	if d.w2 {
-		return d.partCount2(c, v)
-	}
-	if d.w3 {
-		return d.partCount3(c, v)
-	}
+	l := &d.layout
+	m := l.Mask[v*l.K:]
 	n := 0
-	for _, s := range d.spans[v] {
-		n += bits.OnesCount64(c[s.word] & s.mask)
+	for w := l.Lo[v]; w <= l.Hi[v]; w++ {
+		n += bits.OnesCount64(c[w] & m[w])
 	}
 	return n
 }
@@ -519,27 +393,7 @@ func (d *Domain) SetBinLit(c Cube, v int, l Lit) {
 //
 //picola:hot
 func (d *Domain) IsEmpty(c Cube) bool {
-	if d.w1 {
-		w := c[0]
-		for _, m := range d.vmask {
-			if w&m == 0 {
-				return true
-			}
-		}
-		return false
-	}
-	if d.w2 {
-		return d.isEmpty2(c)
-	}
-	if d.w3 {
-		return d.isEmpty3(c)
-	}
-	for v := range d.sizes {
-		if d.PartEmpty(c, v) {
-			return true
-		}
-	}
-	return false
+	return !d.layout.Meets(c, c)
 }
 
 // Intersect stores a AND b into dst and reports whether the result is a
@@ -547,26 +401,10 @@ func (d *Domain) IsEmpty(c Cube) bool {
 //
 //picola:hot
 func (d *Domain) Intersect(dst, a, b Cube) bool {
-	if d.w1 {
-		w := a[0] & b[0]
-		dst[0] = w
-		for _, m := range d.vmask {
-			if w&m == 0 {
-				return false
-			}
-		}
-		return true
-	}
-	if d.w2 {
-		return d.intersect2(dst, a, b)
-	}
-	if d.w3 {
-		return d.intersect3(dst, a, b)
-	}
 	for i := range dst {
 		dst[i] = a[i] & b[i]
 	}
-	return !d.IsEmpty(dst)
+	return d.layout.Meets(dst, dst)
 }
 
 // Intersects reports whether a and b have a non-empty intersection without
@@ -574,34 +412,7 @@ func (d *Domain) Intersect(dst, a, b Cube) bool {
 //
 //picola:hot
 func (d *Domain) Intersects(a, b Cube) bool {
-	if d.w1 {
-		w := a[0] & b[0]
-		for _, m := range d.vmask {
-			if w&m == 0 {
-				return false
-			}
-		}
-		return true
-	}
-	if d.w2 {
-		return d.intersects2(a, b)
-	}
-	if d.w3 {
-		return d.intersects3(a, b)
-	}
-	for v := range d.sizes {
-		empty := true
-		for _, s := range d.spans[v] {
-			if a[s.word]&b[s.word]&s.mask != 0 {
-				empty = false
-				break
-			}
-		}
-		if empty {
-			return false
-		}
-	}
-	return true
+	return d.layout.Meets(a, b)
 }
 
 // Supercube stores into dst the smallest cube containing both a and b
@@ -633,32 +444,14 @@ func (d *Domain) Contains(a, b Cube) bool {
 //
 //picola:hot
 func (d *Domain) Distance(a, b Cube) int {
-	if d.w1 {
-		w := a[0] & b[0]
-		n := 0
-		for _, m := range d.vmask {
-			if w&m == 0 {
-				n++
-			}
-		}
-		return n
-	}
-	if d.w2 {
-		return d.distance2(a, b)
-	}
-	if d.w3 {
-		return d.distance3(a, b)
-	}
+	l := &d.layout
 	n := 0
-	for v := range d.sizes {
-		empty := true
-		for _, s := range d.spans[v] {
-			if a[s.word]&b[s.word]&s.mask != 0 {
-				empty = false
-				break
-			}
-		}
-		if empty {
+	for w, p := range l.Pair {
+		x := a[w] & b[w]
+		n += bits.OnesCount64(p &^ (x | x>>1))
+	}
+	for _, v := range l.Rest {
+		if !l.PartMeets(a, b, v) {
 			n++
 		}
 	}
@@ -672,29 +465,12 @@ func (d *Domain) Distance(a, b Cube) int {
 //
 //picola:hot
 func (d *Domain) Cofactor(dst, c, p Cube) bool {
-	if d.w1 {
-		w := c[0] & p[0]
-		for _, m := range d.vmask {
-			if w&m == 0 {
-				return false
-			}
-		}
-		dst[0] = dst[0]&^d.full | (c[0]|^p[0])&d.full
-		return true
-	}
-	if d.w2 {
-		return d.cofactor2(dst, c, p)
-	}
-	if d.w3 {
-		return d.cofactor3(dst, c, p)
-	}
-	if !d.Intersects(c, p) {
+	l := &d.layout
+	if !l.Meets(c, p) {
 		return false
 	}
-	for v := range d.sizes {
-		for _, s := range d.spans[v] {
-			dst[s.word] = dst[s.word]&^s.mask | (c[s.word]|(^p[s.word]))&s.mask
-		}
+	for w, m := range l.Full {
+		dst[w] = dst[w]&^m | (c[w]|^p[w])&m
 	}
 	return true
 }
@@ -707,86 +483,61 @@ func (d *Domain) Cofactor(dst, c, p Cube) bool {
 //
 //picola:hot
 func (d *Domain) Consensus(dst, a, b Cube) bool {
-	if d.w1 {
-		w := a[0] & b[0]
-		conflict := -1
-		for v, m := range d.vmask {
-			if w&m == 0 {
-				if conflict >= 0 {
-					return false
-				}
-				conflict = v
-			}
-		}
-		if conflict < 0 {
-			return false
-		}
-		cm := d.vmask[conflict]
-		r := w&^cm | (a[0]|b[0])&cm
-		dst[0] = r
-		for _, m := range d.vmask {
-			if r&m == 0 {
+	l := &d.layout
+	// The conflicting field is either one binary field of Pair, held as
+	// its word and two-bit mask, or the variable conflict of Rest.
+	n, conflict := 0, -1
+	cw, cm := 0, uint64(0)
+	for w, p := range l.Pair {
+		x := a[w] & b[w]
+		if e := p &^ (x | x>>1); e != 0 {
+			if n += bits.OnesCount64(e); n > 1 {
 				return false
 			}
+			cw, cm = w, e|e<<1
 		}
-		return true
 	}
-	if d.w2 {
-		return d.consensus2(dst, a, b)
-	}
-	if d.w3 {
-		return d.consensus3(dst, a, b)
-	}
-	conflict := -1
-	for v := range d.sizes {
-		empty := true
-		for _, s := range d.spans[v] {
-			if a[s.word]&b[s.word]&s.mask != 0 {
-				empty = false
-				break
-			}
-		}
-		if empty {
-			if conflict >= 0 {
+	for _, v := range l.Rest {
+		if !l.PartMeets(a, b, v) {
+			if n++; n > 1 {
 				return false
 			}
 			conflict = v
 		}
 	}
-	if conflict < 0 {
+	if n == 0 {
 		return false
 	}
 	for i := range dst {
 		dst[i] = a[i] & b[i]
 	}
-	for _, s := range d.spans[conflict] {
-		dst[s.word] = dst[s.word]&^s.mask | (a[s.word]|b[s.word])&s.mask
+	// Every other field of dst is a non-empty a ∩ b, so dst is non-empty
+	// iff the conflicting field of a ∪ b is.
+	if conflict < 0 {
+		dst[cw] |= (a[cw] | b[cw]) & cm
+		return dst[cw]&cm != 0
 	}
-	return !d.IsEmpty(dst)
+	m := l.Mask[conflict*l.K:]
+	var hit uint64
+	for w := l.Lo[conflict]; w <= l.Hi[conflict]; w++ {
+		dst[w] |= (a[w] | b[w]) & m[w]
+		hit |= dst[w] & m[w]
+	}
+	return hit != 0
 }
 
 // FullParts returns the number of variables whose field is full. For a cube
 // over binary variables this is the cube's dimension (number of don't-care
 // positions).
+//
+//picola:hot
 func (d *Domain) FullParts(c Cube) int {
-	if d.w1 {
-		w := c[0]
-		n := 0
-		for _, m := range d.vmask {
-			if w&m == m {
-				n++
-			}
-		}
-		return n
-	}
-	if d.w2 {
-		return d.fullParts2(c)
-	}
-	if d.w3 {
-		return d.fullParts3(c)
-	}
+	l := &d.layout
 	n := 0
-	for v := range d.sizes {
+	for w, p := range l.Pair {
+		n += bits.OnesCount64(c[w] & (c[w] >> 1) & p)
+	}
+	for _, v := range l.Rest {
 		if d.PartFull(c, v) {
 			n++
 		}
@@ -814,13 +565,22 @@ func SetBits(c Cube) int {
 // Minterms returns the number of minterms in c, saturating at
 // math.MaxUint64. An empty cube has zero minterms.
 func (d *Domain) Minterms(c Cube) uint64 {
-	n := uint64(1)
-	for v := range d.sizes {
-		k := uint64(d.PartCount(c, v))
-		if k == 0 {
-			return 0
-		}
-		hi, lo := bits.Mul64(n, k)
+	if d.IsEmpty(c) {
+		return 0
+	}
+	// Each full binary field of Pair doubles the count; the rest of its
+	// fields are single values.
+	l := &d.layout
+	free := 0
+	for w, p := range l.Pair {
+		free += bits.OnesCount64(c[w] & (c[w] >> 1) & p)
+	}
+	if free >= 64 {
+		return ^uint64(0)
+	}
+	n := uint64(1) << free
+	for _, v := range l.Rest {
+		hi, lo := bits.Mul64(n, uint64(d.PartCount(c, v)))
 		if hi != 0 {
 			return ^uint64(0)
 		}

@@ -33,7 +33,6 @@ type scratch struct {
 	conflictCount []int
 	conflictVar   []int
 	blockedMask   []uint64
-	varMask       []uint64
 	colCount      []int
 	covered       []bool
 	rest          cover.Cover
@@ -390,19 +389,18 @@ func expand(F *cover.Cover, off *cover.Cover, sc *scratch) *cover.Cover {
 func expandCube(d *cube.Domain, c cube.Cube, off *cover.Cover, colCount []int, sc *scratch) cube.Cube {
 	nv := d.NumVars()
 	nb := d.Bits()
-	words := d.Words()
+	l := d.Layout()
 	conflictCount := sc.ints(&sc.conflictCount, off.Len())
 	conflictVar := sc.ints(&sc.conflictVar, off.Len()) // meaningful when count == 1
 	for k, o := range off.Cubes {
 		for v := 0; v < nv; v++ {
-			if varDisjoint(d, c, o, v) {
+			if !l.PartMeets(c, o, v) {
 				conflictCount[k]++
 				conflictVar[k] = v
 			}
 		}
 	}
-	blockedMask := sc.words(&sc.blockedMask, words)
-	varMask := sc.words(&sc.varMask, words) // scratch
+	blockedMask := sc.words(&sc.blockedMask, l.K)
 	for {
 		// Rebuild the blocked mask: bits of single-conflict OFF cubes'
 		// conflicting fields.
@@ -414,12 +412,9 @@ func expandCube(d *cube.Domain, c cube.Cube, off *cover.Cover, colCount []int, s
 				continue
 			}
 			v := conflictVar[k]
-			for w := range varMask {
-				varMask[w] = 0
-			}
-			d.SetAll(cube.Cube(varMask), v)
-			for w := range blockedMask {
-				blockedMask[w] |= o[w] & varMask[w]
+			m := l.Mask[v*l.K:]
+			for w := l.Lo[v]; w <= l.Hi[v]; w++ {
+				blockedMask[w] |= o[w] & m[w]
 			}
 		}
 		bestBit, bestScore := -1, -1
@@ -448,7 +443,7 @@ func expandCube(d *cube.Domain, c cube.Cube, off *cover.Cover, colCount []int, s
 					if conflictCount[k] == 1 {
 						// Recompute the single remaining conflict variable.
 						for v := 0; v < nv; v++ {
-							if varDisjoint(d, c, o, v) {
+							if !l.PartMeets(c, o, v) {
 								conflictVar[k] = v
 								break
 							}
@@ -470,18 +465,6 @@ func wasConflict(d *cube.Domain, c, o cube.Cube, v, bit int) bool {
 			continue
 		}
 		if c[b/64]>>(uint(b)%64)&1 == 1 && o[b/64]>>(uint(b)%64)&1 == 1 {
-			return false
-		}
-	}
-	return true
-}
-
-// varDisjoint reports whether cubes a and b share no value of variable v.
-func varDisjoint(d *cube.Domain, a, b cube.Cube, v int) bool {
-	l := d.Layout()
-	m := l.Mask[v*l.K:]
-	for w := l.Lo[v]; w <= l.Hi[v]; w++ {
-		if a[w]&b[w]&m[w] != 0 {
 			return false
 		}
 	}

@@ -15,8 +15,9 @@ import (
 // takes: its 2^6 minterms fill one uint64.
 const TTMaxInputs = 6
 
-// mask0[v] holds the minterms whose bit v is 0.
-var mask0 = [TTMaxInputs]uint64{
+// Mask0[v] holds the minterms whose bit v is 0. The exact truth-table
+// counter in internal/exact shares it; it must not be modified.
+var Mask0 = [TTMaxInputs]uint64{
 	0x5555555555555555, 0x3333333333333333, 0x0f0f0f0f0f0f0f0f,
 	0x00ff00ff00ff00ff, 0x0000ffff0000ffff, 0x00000000ffffffff,
 }
@@ -150,9 +151,9 @@ func (t *Counter) mask(w uint64) uint64 {
 		case 0:
 			return 0
 		case 1:
-			m &= mask0[v]
+			m &= Mask0[v]
 		case 2:
-			m &^= mask0[v]
+			m &^= Mask0[v]
 		}
 	}
 	return m
@@ -171,10 +172,10 @@ func (t *Counter) coverMask(F []uint64) uint64 {
 func (t *Counter) supercube(m uint64) uint64 {
 	var w uint64
 	for v := 0; v < t.nv; v++ {
-		if m&mask0[v] != 0 {
+		if m&Mask0[v] != 0 {
 			w |= 1 << uint(2*v)
 		}
-		if m&^mask0[v] != 0 {
+		if m&^Mask0[v] != 0 {
 			w |= 2 << uint(2*v)
 		}
 	}

@@ -33,7 +33,7 @@ func TestConstraintFunctionSharesDomain(t *testing.T) {
 	if f1.D != f2.D {
 		t.Fatal("ConstraintFunction rebuilt the domain: two calls returned distinct *Domain")
 	}
-	if f1.D.NumVars() != 3 || !f1.D.SingleWord() {
+	if f1.D.NumVars() != 3 || f1.D.Words() != 1 {
 		t.Fatalf("interned domain malformed: %d vars", f1.D.NumVars())
 	}
 }

@@ -16,12 +16,6 @@ import (
 // shares the bound.
 const TTMaxInputs = espresso.TTMaxInputs
 
-// mask0[v] holds the minterms whose bit v is 0.
-var mask0 = [TTMaxInputs]uint64{
-	0x5555555555555555, 0x3333333333333333, 0x0f0f0f0f0f0f0f0f,
-	0x00ff00ff00ff00ff, 0x0000ffff0000ffff, 0x00000000ffffffff,
-}
-
 var (
 	// subcube[D] holds the minterms of the cube with base 0 and dash set
 	// D; the cube with base x (x&D == 0) is subcube[D] << x.
@@ -108,7 +102,7 @@ func (ct *Counter) countTT(nv int, on, care uint64) int {
 	for d := 1; d < nd; d++ {
 		v := bits.TrailingZeros(uint(d))
 		p := valid[d&(d-1)]
-		valid[d] = p & (p >> (1 << uint(v))) & mask0[v]
+		valid[d] = p & (p >> (1 << uint(v))) & espresso.Mask0[v]
 	}
 	for d := 0; d < nd; d++ {
 		p := valid[d]

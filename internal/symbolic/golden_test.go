@@ -6,8 +6,6 @@ import (
 	"testing"
 
 	"picola/internal/benchgen"
-	"picola/internal/cover"
-	"picola/internal/cube"
 	"picola/internal/obs"
 )
 
@@ -57,15 +55,9 @@ var table1Covers = []struct {
 	{"scf", 147, 24242, "91e9e67eea0362277e83893938e9077fd31367e2f66308061d137b555e855882"},
 }
 
-// withDomain returns a cover holding the same cubes over domain d.
-func withDomain(c *cover.Cover, d *cube.Domain) *cover.Cover {
-	return &cover.Cover{D: d, Cubes: c.Cubes}
-}
-
 // TestTable1CoversGolden is the extraction golden test: all 33 Table I
-// minimized covers are byte-identical between the kernel domain and its
-// Generic view (span-loop cube operations), equal to the pinned digests,
-// and visit the pinned tautology node counts.
+// minimized covers equal the pinned digests and visit the pinned
+// tautology node counts.
 func TestTable1CoversGolden(t *testing.T) {
 	nodes := obs.Default.Counter("cover.tautology_nodes")
 	specs := benchgen.Table1Specs()
@@ -80,35 +72,23 @@ func TestTable1CoversGolden(t *testing.T) {
 		if raceEnabled && spec.Name == "scf" {
 			continue // minutes under the race detector; the plain build checks it
 		}
-		m := benchgen.Generate(spec)
-		var got [2]string
-		for side := range got {
-			sc, err := Build(m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if side == 1 {
-				g := sc.D.Generic()
-				sc.D, sc.On, sc.DC, sc.Off = g, withDomain(sc.On, g), withDomain(sc.DC, g), withDomain(sc.Off, g)
-			}
-			n0 := nodes.Value()
-			min, err := sc.Minimize()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if n := nodes.Value() - n0; n != want.nodes {
-				t.Errorf("%s side %d: %d tautology nodes, pinned %d", spec.Name, side, n, want.nodes)
-			}
-			if min.Len() != want.cubes {
-				t.Errorf("%s side %d: %d cubes, pinned %d", spec.Name, side, min.Len(), want.cubes)
-			}
-			got[side] = min.String()
-			if sum := fmt.Sprintf("%x", sha256.Sum256([]byte(got[side]))); sum != want.sha256 {
-				t.Errorf("%s side %d: cover digest %s, pinned %s", spec.Name, side, sum, want.sha256)
-			}
+		sc, err := Build(benchgen.Generate(spec))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if got[0] != got[1] {
-			t.Errorf("%s: kernel and Generic-view covers differ", spec.Name)
+		n0 := nodes.Value()
+		min, err := sc.Minimize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := nodes.Value() - n0; n != want.nodes {
+			t.Errorf("%s: %d tautology nodes, pinned %d", spec.Name, n, want.nodes)
+		}
+		if min.Len() != want.cubes {
+			t.Errorf("%s: %d cubes, pinned %d", spec.Name, min.Len(), want.cubes)
+		}
+		if sum := fmt.Sprintf("%x", sha256.Sum256([]byte(min.String()))); sum != want.sha256 {
+			t.Errorf("%s: cover digest %s, pinned %s", spec.Name, sum, want.sha256)
 		}
 	}
 }

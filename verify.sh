@@ -37,8 +37,8 @@ go test -race ./...
 
 # Allocation-regression gate: on a warmed arena, one exact constraint
 # scoring must perform zero heap allocations, on a warmed encoder one
-# classify column scan likewise, and on a warmed 6-word domain one wide
-# tautology-kernel call, and on a warmed exact.Counter / Solver64 one
+# classify column scan likewise, and on a warmed 1-word and 6-word domain
+# one tautology-kernel call, and on a warmed exact.Counter / Solver64 one
 # nv = 5 and one nv = 6 truth-table count, and on a warmed
 # espresso.Counter (directly and through eval's heuristic scoring) one
 # nv = 5 truth-table espresso (the hot-path pooling contract;
